@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mixevidence.gibbs import (
     run_gibbs,
     select_pivot,
 )
+from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
 from mixevidence.model import (
     Allocation,
     Dataset,
@@ -137,6 +139,34 @@ class TestRunGibbs:
         Z = chain.allocations.astype(int)
         co_chain = np.mean(Z[:, :, None] == Z[:, None, :], axis=0)
         assert np.abs(co_chain - co_exact).max() < 0.02
+
+    # CRC32 of each stored array, taken on x86-64 with numpy 2.4; a change of
+    # platform or numpy version may move them without a fault in the sweep.
+    CHAIN_CRC32 = {
+        ("d2", 3, "fixed:2,15"): {
+            "weights": 4238791746, "means": 41178791, "variances": 2150847436,
+            "allocations": 270726470,
+        },
+        ("galaxy", 4, "rg"): {
+            "weights": 721176265, "means": 1022272567, "variances": 3976557876,
+            "allocations": 1032478860, "betas": 1627510727,
+        },
+    }
+
+    @pytest.mark.parametrize("dataset,k,prior", sorted(CHAIN_CRC32))
+    def test_chain_checksum_pinned(self, dataset, k, prior):
+        """The sweep's arithmetic and stream use are frozen: refactors keep chains bit-identical."""
+        cfg = ExperimentConfig(dataset=dataset, k=k, prior=prior,
+                               iterations=2_000, burn_in=500, seed=201)
+        data = resolve_dataset(cfg)
+        chain = run_gibbs(data, parse_prior(prior, data), k, cfg.gibbs_config(),
+                          rng=RngStream(cfg.seed).substream("replicate", 0, "gibbs"))
+        arrays = {"weights": chain.weights, "means": chain.means,
+                  "variances": chain.variances, "allocations": chain.allocations,
+                  "betas": chain.betas}
+        got = {name: zlib.crc32(np.ascontiguousarray(a).tobytes())
+               for name, a in arrays.items() if a is not None}
+        assert got == self.CHAIN_CRC32[(dataset, k, prior)]
 
 
 class TestPermutationStep:
