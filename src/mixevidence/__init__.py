@@ -8,18 +8,11 @@ negligible permutation clusters, and iterative bridge sampling.
 """
 
 from .numerics import (
-    Categorical,
-    Dirichlet,
-    Gamma,
-    InverseGamma,
-    Normal,
     Permutation,
     PermutationCapacityError,
     RngStream,
     enumerate_permutations,
-    log_pdf,
     log_sum_exp,
-    sample,
 )
 from .model import (
     Allocation,
@@ -28,16 +21,18 @@ from .model import (
     HierarchicalPrior,
     MixtureParams,
     PriorSpec,
-    SufficientStats,
-    allocation_conditional,
-    full_conditionals,
-    log_block_density,
     log_likelihood,
     log_prior,
-    sample_block,
 )
-from .gibbs import GibbsChain, GibbsConfig, run_gibbs, random_permutation_step, select_pivot
-from .relabel import RelabelledChain, reference_from_pivot, relabel_chain
+from .gibbs import (
+    GibbsChain,
+    GibbsConfig,
+    permute_draws,
+    random_permutation_step,
+    run_gibbs,
+    select_pivot,
+)
+from .relabel import alignment, reference_from_pivot, relabel_chain
 from .estimators import (
     ContributionReport,
     DualProposal,
@@ -47,7 +42,6 @@ from .estimators import (
     build_dual_proposal,
     build_permuted_mixture,
     build_plugin_proposal,
-    calibrate_truncation,
     chib,
     effective_sample_size,
     h_sigma,

@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (write a dataset file), ``gibbs`` (run and export
 a chain), ``estimate`` (one estimator on one dataset), ``compare`` (the
 full replicated estimator comparison) and ``calibrate`` (the permutation
-cluster contribution report).  ``compare`` and ``estimate`` accept a JSON
-config file; explicit flags override file values.
+cluster contribution report of the ``sym_is_trunc`` estimate).  ``compare``
+and ``estimate`` accept a JSON config file; explicit flags override file
+values.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import argparse
 import json
 import sys
 
-from .datasets import generate_dataset, load_dataset
-from .estimators import DEFAULT_TAU
+from .datasets import generate_dataset
 from .gibbs import GibbsConfig, export_chain_csv, run_gibbs
 from .harness import (
     KNOWN_ESTIMATORS,
     ExperimentConfig,
-    calibration_report,
     parse_prior,
     resolve_dataset,
     run_experiment,
@@ -83,13 +82,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    if args.dataset.lower() in ("d1", "d2"):
-        data = generate_dataset(args.dataset, n=args.n, rng=RngStream(args.seed).substream("dataset"))
-    else:
-        try:
-            data = load_dataset(args.dataset)
-        except FileNotFoundError:
-            data = resolve_dataset(_config_from_args(args, out=None))
+    data = resolve_dataset(_config_from_args(args, out=None))
     prior = parse_prior(args.prior, data)
     config = GibbsConfig(
         iterations=args.iterations,
@@ -140,17 +133,22 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = _config_from_args(args, estimators=("sym_is_trunc",), out=None)
-    report = calibration_report(config, replicate=args.replicate)
-    print(f"ranked mean cluster contributions (M={report.M}, tau={report.tau:g}):")
-    for rank, (idx, eta) in enumerate(zip(report.ordering, report.eta_bar), start=1):
-        marker = "*" if rank <= report.A_size else " "
-        print(f" {marker} rank {rank:>3}  cluster {int(idx):>3}  eta_bar={eta:.6g}")
-    print(f"|A| = {report.A_size}, phi_hat = {report.phi_hat:.6g}, "
-          f"workload fraction = {report.delta:.4f}")
+    config = _config_from_args(args, estimators=("sym_is_trunc",), replicates=1, out=None)
+    data = resolve_dataset(config)
+    prior = parse_prior(config.prior, data)
+    row = run_replicate(config, data, prior, replicate=args.replicate)[0]
+    if row["error"]:
+        print(f"sym_is_trunc failed: {row['error']}", file=sys.stderr)
+        return 1
+    print(f"ranked mean cluster contributions (M={row['M']}, tau={row['tau']:g}):")
+    for rank, (idx, eta) in enumerate(zip(row["ordering"], row["eta_bar"]), start=1):
+        marker = "*" if rank <= row["A_size"] else " "
+        print(f" {marker} rank {rank:>3}  cluster {idx:>3}  eta_bar={eta:.6g}")
+    print(f"|A| = {row['A_size']}, phi_hat = {row['phi_hat']:.6g}, "
+          f"workload fraction = {row['delta']:.4f}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=1)
+            json.dump(row, fh, indent=1)
             fh.write("\n")
     return 0
 

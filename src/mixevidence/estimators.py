@@ -17,13 +17,12 @@ the permutation set.
 from __future__ import annotations
 
 import math
-import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsChain, chain_mean_stderr
+from .gibbs import GibbsChain, chain_mean_stderr, permute_draws
 from .model import (
     Allocation,
     ConditioningSet,
@@ -37,10 +36,8 @@ from .model import (
     log_prior_batch,
 )
 from .numerics import Permutation, as_generator, log_sum_exp, permutation_matrix
-from .relabel import RelabelledChain
 
 __all__ = [
-    "SMALLEST_NORMAL",
     "DEFAULT_TAU",
     "EstimationFailureError",
     "ContributionReport",
@@ -52,16 +49,11 @@ __all__ = [
     "h_sigma",
     "chib",
     "importance_estimate",
-    "calibrate_truncation",
     "workload_gain",
     "bridge_sampling",
     "effective_sample_size",
     "log_weight_stderr",
 ]
-
-# Smallest positive normal double; the "numerically zero" floor of the
-# platform, kept around as an alternative truncation threshold.
-SMALLEST_NORMAL = sys.float_info.min
 
 # Default threshold on the q-normalized mean absolute truncation error.
 # The cut is conservative: a cluster far below double precision (~1e-16
@@ -163,13 +155,7 @@ class EvidenceEstimate:
             "density_evaluations": int(self.density_evaluations),
         }
         if self.report is not None:
-            rec.update(
-                {
-                    "A_size": int(self.report.A_size),
-                    "phi_hat": float(self.report.phi_hat),
-                    "delta": float(self.report.delta),
-                }
-            )
+            rec.update(self.report.as_dict())
         if self.trace is not None:
             rec["trace"] = [float(v) for v in self.trace]
         return rec
@@ -198,7 +184,6 @@ class DualProposal:
     log_cluster_norm: float
     symmetrize_samples: bool = False
     label: str = "dual"
-    hyper_draws: list = field(default_factory=list, repr=False)
 
     @property
     def J(self) -> int:
@@ -217,12 +202,8 @@ class DualProposal:
         rows = self.perm_rows if subset is None else self.perm_rows[np.asarray(subset)]
         return self.cond.log_pooled_density(batch, rows)
 
-    def log_q(self, batch: ParamsBatch) -> np.ndarray:
-        """Full proposal log-density of a batch."""
-        return log_sum_exp(self.log_h(batch), axis=1) - self.log_cluster_norm
-
-    def log_q_truncated(self, batch: ParamsBatch, subset) -> np.ndarray:
-        """Truncated proposal density using only the given cluster rows."""
+    def log_q(self, batch: ParamsBatch, subset=None) -> np.ndarray:
+        """Proposal log-density of a batch, truncated to the `subset` clusters if given."""
         return log_sum_exp(self.log_h(batch, subset), axis=1) - self.log_cluster_norm
 
     def sample(self, T: int, rng) -> ParamsBatch:
@@ -255,28 +236,22 @@ def build_plugin_proposal(data: Dataset, prior: PriorSpec,
         log_cluster_norm=math.log(math.factorial(k)),
         symmetrize_samples=True,
         label="plugin_is",
-        hyper_draws=[pivot],
     )
 
 
-def build_dual_proposal(relabelled: RelabelledChain, data: Dataset, prior: PriorSpec,
+def build_dual_proposal(chain: GibbsChain, data: Dataset, prior: PriorSpec,
                         J: int, rng) -> DualProposal:
-    """Pool J relabelled draws and symmetrize over all k! permutations."""
+    """Pool J draws of a relabelled chain and symmetrize over all k! permutations."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    if J > len(relabelled):
-        raise ValueError(f"J={J} exceeds relabelled chain length {len(relabelled)}")
+    if J > len(chain):
+        raise ValueError(f"J={J} exceeds relabelled chain length {len(chain)}")
     gen = as_generator(rng)
-    idx = np.sort(gen.choice(len(relabelled), size=J, replace=False))
-    chain = relabelled.chain
-    cond = ConditioningSet.from_draws(
-        data,
-        prior,
-        chain.means[idx],
-        chain.allocations[idx].astype(np.intp),
-        None if chain.betas is None else chain.betas[idx],
-    )
-    k = relabelled.k
+    idx = np.sort(gen.choice(len(chain), size=J, replace=False))
+    pooled = chain.subset(idx)
+    cond = ConditioningSet.from_draws(data, prior, pooled.means, pooled.allocations,
+                                      pooled.betas)
+    k = chain.k
     return DualProposal(
         data=data,
         prior=prior,
@@ -285,7 +260,6 @@ def build_dual_proposal(relabelled: RelabelledChain, data: Dataset, prior: Prior
         log_cluster_norm=math.log(math.factorial(k)),
         symmetrize_samples=False,
         label="sym_is",
-        hyper_draws=[relabelled.draw(t) for t in idx[: min(J, 8)]],
     )
 
 
@@ -299,16 +273,10 @@ def build_permuted_mixture(chain: GibbsChain, data: Dataset, prior: PriorSpec,
     gen = as_generator(rng)
     idx = np.sort(gen.choice(len(chain), size=J1, replace=False))
     k = chain.k
-    rows = permutation_matrix(k)
-    inv = np.argsort(rows, axis=1)
-    which = gen.integers(0, len(rows), size=J1)
-    gather = rows[which]
-    means = np.take_along_axis(chain.means[idx], gather, axis=1)
-    allocs = inv[which[:, None], chain.allocations[idx].astype(np.intp)]
-    cond = ConditioningSet.from_draws(
-        data, prior, means, allocs,
-        None if chain.betas is None else chain.betas[idx],
-    )
+    which = gen.integers(0, math.factorial(k), size=J1)
+    pooled = permute_draws(chain.subset(idx), which)
+    cond = ConditioningSet.from_draws(data, prior, pooled.means, pooled.allocations,
+                                      pooled.betas)
     return DualProposal(
         data=data,
         prior=prior,
@@ -349,7 +317,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
     if T == 0:
         raise ValueError("empty chain")
     cond = ConditioningSet.from_draws(
-        data, prior, chain.means, chain.allocations.astype(np.intp), chain.betas
+        data, prior, chain.means, chain.allocations, chain.betas
     )
     identity = np.arange(k, dtype=np.intp)[None, :]
 
@@ -490,7 +458,7 @@ def importance_estimate(proposal: DualProposal, T: int, rng, truncated: bool = F
                 batch.weights[M_eff:], batch.means[M_eff:], batch.variances[M_eff:],
                 None if batch.betas is None else batch.betas[M_eff:],
             )
-            log_q[M_eff:] = proposal.log_q_truncated(rest, subset)
+            log_q[M_eff:] = proposal.log_q(rest, subset)
     else:
         log_q = proposal.log_q(batch)
 
@@ -513,18 +481,6 @@ def importance_estimate(proposal: DualProposal, T: int, rng, truncated: bool = F
         posterior_evaluations=T,
         density_evaluations=int(proposal.cond.evaluations - evals_before),
     )
-
-
-def calibrate_truncation(proposal: DualProposal, M: int, tau: float = DEFAULT_TAU,
-                         rng=None, T: int = 10_000) -> ContributionReport:
-    """Contribution ranking and truncation set from M draws of the home cluster."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    gen = as_generator(rng if rng is not None else 0)
-    js = gen.integers(0, proposal.J, size=M)
-    batch = proposal.cond.sample(js, gen)
-    log_h = proposal.log_h(batch)
-    return _build_report(log_h, tau, T, proposal.k)
 
 
 def workload_gain(M: int, T: int, A_size: float, k: int) -> float:

@@ -2,9 +2,10 @@
 
 Sweep order: allocations, then weights, then per component the variance
 given the stored mean followed by the mean given the fresh variance, then
-the shared scale when the prior is hierarchical.  This matches the block
-factorization evaluated by log_block_density, so one sweep from a stored
-draw is an exact sample from that density.
+the shared scale when the prior is hierarchical.  The sweep draws its
+blocks from the conditionals in `model` that `ConditioningSet` samples and
+evaluates, so one sweep from a stored draw is an exact sample from the
+block density the estimators use.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +23,11 @@ from .model import (
     MixtureParams,
     ParamsBatch,
     PriorSpec,
+    beta_conditional,
     log_likelihood_batch,
     log_prior_batch,
+    mean_conditional,
+    variance_conditional,
 )
 from .numerics import (
     Permutation,
@@ -37,6 +41,7 @@ __all__ = [
     "GibbsChain",
     "run_gibbs",
     "random_permutation_step",
+    "permute_draws",
     "permute_chain",
     "select_pivot",
     "export_chain_csv",
@@ -100,15 +105,14 @@ class GibbsChain:
 
     def subset(self, indices) -> "GibbsChain":
         idx = np.asarray(indices, dtype=np.intp)
-        return GibbsChain(
-            k=self.k,
+        return replace(
+            self,
             weights=self.weights[idx],
             means=self.means[idx],
             variances=self.variances[idx],
             allocations=self.allocations[idx],
             betas=None if self.betas is None else self.betas[idx],
             switch_flags=self.switch_flags[idx],
-            allocation_fallbacks=self.allocation_fallbacks,
         )
 
 
@@ -174,15 +178,13 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
         sums_sq = np.bincount(z, weights=x * x, minlength=k)
 
         weights = gen.dirichlet(1.0 + counts)
-        base = beta if prior.hierarchical else prior.var_scale
-        scale = base + 0.5 * (sums_sq - 2.0 * means * sums + counts * means**2)
-        variances = scale / gen.gamma(prior.var_shape + 0.5 * counts)
-        prec = 1.0 / prior.mean_var + counts / variances
-        cond_mean = (prior.mean_loc / prior.mean_var + sums / variances) / prec
-        means = gen.normal(cond_mean, np.sqrt(1.0 / prec))
+        shape, scale = variance_conditional(prior, counts, sums, sums_sq, means, beta)
+        variances = scale / gen.gamma(shape)
+        cond_mean, cond_var = mean_conditional(prior, counts, sums, variances)
+        means = gen.normal(cond_mean, np.sqrt(cond_var))
         if prior.hierarchical:
-            rate = prior.beta_rate + float(np.sum(1.0 / variances))
-            beta = float(gen.gamma(prior.beta_shape + prior.var_shape * k, 1.0 / rate))
+            shape, rate = beta_conditional(prior, variances)
+            beta = float(gen.gamma(shape, 1.0 / rate))
 
         if perm_rows is not None:
             row = perm_rows[gen.integers(len(perm_rows))]
@@ -213,25 +215,27 @@ def random_permutation_step(draw: tuple[MixtureParams, Allocation], rng):
     return params.permuted(sigma), alloc.permuted(sigma)
 
 
-def permute_chain(chain: GibbsChain, rng) -> GibbsChain:
-    """Independently random-permute every draw of a chain."""
-    gen = as_generator(rng)
+def permute_draws(chain: GibbsChain, idx) -> GibbsChain:
+    """Relabel draw t, components and allocations, by row idx[t] of permutation_matrix(k)."""
+    idx = np.asarray(idx, dtype=np.intp)
     rows = permutation_matrix(chain.k)
-    inv = np.argsort(rows, axis=1)
-    idx = gen.integers(len(rows), size=len(chain))
     gather = rows[idx]
-    return GibbsChain(
-        k=chain.k,
+    inv = np.argsort(rows, axis=1)
+    return replace(
+        chain,
         weights=np.take_along_axis(chain.weights, gather, axis=1),
         means=np.take_along_axis(chain.means, gather, axis=1),
         variances=np.take_along_axis(chain.variances, gather, axis=1),
         allocations=inv[idx[:, None], chain.allocations.astype(np.intp)].astype(
             chain.allocations.dtype
         ),
-        betas=chain.betas,
-        switch_flags=chain.switch_flags,
-        allocation_fallbacks=chain.allocation_fallbacks,
     )
+
+
+def permute_chain(chain: GibbsChain, rng) -> GibbsChain:
+    """Independently random-permute every draw of a chain."""
+    idx = as_generator(rng).integers(math.factorial(chain.k), size=len(chain))
+    return permute_draws(chain, idx)
 
 
 def chain_log_posterior(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> np.ndarray:

@@ -26,7 +26,6 @@ from .estimators import (
     build_dual_proposal,
     build_permuted_mixture,
     build_plugin_proposal,
-    calibrate_truncation,
     chib,
     importance_estimate,
 )
@@ -103,12 +102,11 @@ class ExperimentConfig:
             return self.J1
         return min(100 * math.factorial(self.k), 5_000)
 
-    def gibbs_config(self, random_permutation: bool = False) -> GibbsConfig:
+    def gibbs_config(self) -> GibbsConfig:
         return GibbsConfig(
             iterations=self.iterations,
             burn_in=self.burn_in,
             thinning=self.thinning,
-            random_permutation=random_permutation,
             seed=self.seed,
         )
 
@@ -160,15 +158,13 @@ def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
     permuted = permute_chain(chain, stream.substream("permute"))
     pivot = select_pivot(chain, data, prior)
 
-    relabelled = None
     dual = None
 
     def dual_proposal():
-        nonlocal relabelled, dual
+        nonlocal dual
         if dual is None:
-            relabelled = relabel_chain(chain, pivot[0])
-            dual = build_dual_proposal(relabelled, data, prior, config.J,
-                                       stream.substream("subsample"))
+            dual = build_dual_proposal(relabel_chain(chain, pivot[0]), data, prior,
+                                       config.J, stream.substream("subsample"))
         return dual
 
     rows = []
@@ -281,21 +277,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         write_summary_csv(record.summary, out)
         _write_long_csv(rows, out / "long.csv")
     return record
-
-
-def calibration_report(config: ExperimentConfig, replicate: int = 0):
-    """The contribution ranking for one replicate's proposal (no estimation)."""
-    data = resolve_dataset(config)
-    prior = parse_prior(config.prior, data)
-    stream = RngStream(config.seed).substream("replicate", replicate)
-    chain = run_gibbs(data, prior, config.k, config.gibbs_config(),
-                      rng=stream.substream("gibbs"))
-    pivot = select_pivot(chain, data, prior)
-    relabelled = relabel_chain(chain, pivot[0])
-    proposal = build_dual_proposal(relabelled, data, prior, config.J,
-                                   stream.substream("subsample"))
-    return calibrate_truncation(proposal, config.M, config.tau,
-                                stream.substream("dual"), T=config.T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Log-domain arithmetic, permutation machinery and basic distributions.
+"""Log-domain arithmetic, permutation machinery and log-density kernels.
 
 Everything downstream (mixture densities, importance weights, cluster
 contributions) is accumulated in log space; probabilities are only
-exponentiated after a max-shift.  Distributions are small value objects
-with exact normalized log-densities, since the evidence identities this
-package implements require normalized conditionals.
+exponentiated after a max-shift.  The log-density kernels are exact and
+normalized, since the evidence identities this package implements
+require normalized conditionals.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations as _iter_permutations
 
 import numpy as np
+from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -119,7 +120,7 @@ def permutation_matrix(k: int, max_k: int = MAX_ENUMERATED_COMPONENTS) -> np.nda
 
 # ---------------------------------------------------------------------------
 # Array log-density kernels.  These broadcast and are the workhorses for the
-# vectorized proposal evaluations; the DistSpec objects below wrap them.
+# vectorized proposal evaluations.
 # ---------------------------------------------------------------------------
 
 def normal_logpdf(x, mean, var):
@@ -133,7 +134,7 @@ def inverse_gamma_logpdf(x, shape, scale):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             shape * np.log(scale)
-            - _lgamma(shape)
+            - gammaln(shape)
             - (shape + 1.0) * np.log(x)
             - scale / x
         )
@@ -146,7 +147,7 @@ def gamma_logpdf(x, shape, rate):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             shape * np.log(rate)
-            - _lgamma(shape)
+            - gammaln(shape)
             + (shape - 1.0) * np.log(x)
             - rate * x
         )
@@ -159,117 +160,12 @@ def dirichlet_logpdf(weights, concentration):
     alpha = np.atleast_1d(np.asarray(concentration, dtype=float))
     if w.shape[-1] != alpha.shape[-1]:
         raise ValueError("weights/concentration length mismatch")
-    const = _lgamma(alpha.sum(axis=-1)) - _lgamma(alpha).sum(axis=-1)
+    const = gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(alpha == 1.0, 0.0, (alpha - 1.0) * np.log(w))
     out = const + terms.sum(axis=-1)
     on_simplex = (np.abs(w.sum(axis=-1) - 1.0) <= 1e-9) & np.all(w >= 0.0, axis=-1)
     return np.where(on_simplex, out, -np.inf)
-
-
-def _lgamma(x):
-    from scipy.special import gammaln
-
-    return gammaln(x)
-
-
-# ---------------------------------------------------------------------------
-# Distribution value objects (the tagged union used by priors/conditionals).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Normal:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be > 0, got {self.variance}")
-
-    def log_pdf(self, x):
-        return normal_logpdf(x, self.mean, self.variance)
-
-    def sample(self, rng, size=None):
-        return self.mean + math.sqrt(self.variance) * as_generator(rng).standard_normal(size)
-
-
-@dataclass(frozen=True)
-class InverseGamma:
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("inverse-gamma shape and scale must be > 0")
-
-    def log_pdf(self, x):
-        return inverse_gamma_logpdf(x, self.shape, self.scale)
-
-    def sample(self, rng, size=None):
-        return self.scale / as_generator(rng).gamma(self.shape, 1.0, size)
-
-
-@dataclass(frozen=True)
-class Gamma:
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError("gamma shape and rate must be > 0")
-
-    def log_pdf(self, x):
-        return gamma_logpdf(x, self.shape, self.rate)
-
-    def sample(self, rng, size=None):
-        return as_generator(rng).gamma(self.shape, 1.0 / self.rate, size)
-
-
-@dataclass(frozen=True)
-class Dirichlet:
-    concentration: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.concentration) < 1 or any(a <= 0 for a in self.concentration):
-            raise ValueError("dirichlet concentrations must be positive")
-
-    def log_pdf(self, x):
-        return dirichlet_logpdf(x, np.array(self.concentration))
-
-    def sample(self, rng, size=None):
-        return as_generator(rng).dirichlet(self.concentration, size)
-
-
-@dataclass(frozen=True)
-class Categorical:
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        p = np.array(self.probabilities)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("categorical probabilities must be >= 0 and sum to 1")
-
-    def log_pdf(self, x):
-        p = np.array(self.probabilities)
-        with np.errstate(divide="ignore"):
-            logp = np.log(p)
-        return logp[np.asarray(x, dtype=np.intp)]
-
-    def sample(self, rng, size=None):
-        return as_generator(rng).choice(len(self.probabilities), size=size, p=self.probabilities)
-
-
-DistSpec = Normal | InverseGamma | Gamma | Dirichlet | Categorical
-
-
-def log_pdf(spec: DistSpec, point):
-    """Exact normalized log-density of `spec` at `point` (-inf off support)."""
-    return spec.log_pdf(point)
-
-
-def sample(spec: DistSpec, rng, size=None):
-    """Draw from `spec`; reproducible given the generator state."""
-    return spec.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------

@@ -3,46 +3,19 @@
 Label switching is removed by recentering: each draw is mapped by the
 label permutation that brings it closest to a reference state in
 standardized (mean, log variance, log weight) coordinates, searching all
-k! permutations exactly.  The per-draw permutations are recorded so the
-transform is reproducible and invertible.
+k! permutations exactly.  `alignment` returns the per-draw permutations,
+so the transform is reproducible and invertible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gibbs import GibbsChain, select_pivot
-from .model import Allocation, Dataset, MixtureParams, ParamsBatch, PriorSpec
-from .numerics import Permutation, permutation_matrix
+from .gibbs import GibbsChain, permute_draws, select_pivot
+from .model import Dataset, MixtureParams, PriorSpec
+from .numerics import permutation_matrix
 
-__all__ = ["RelabelledChain", "relabel_chain", "reference_from_pivot"]
-
-
-@dataclass
-class RelabelledChain:
-    """A relabelled chain plus the permutation applied to each draw."""
-
-    chain: GibbsChain
-    applied: np.ndarray           # (T,) indices into `permutation_rows`
-    permutation_rows: np.ndarray  # (k!, k) lexicographic mappings
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-    @property
-    def k(self) -> int:
-        return self.chain.k
-
-    def draw(self, t: int) -> tuple[MixtureParams, Allocation]:
-        return self.chain.draw(t)
-
-    def params_batch(self) -> ParamsBatch:
-        return self.chain.params_batch()
-
-    def applied_permutation(self, t: int) -> Permutation:
-        return Permutation(tuple(self.permutation_rows[self.applied[t]]))
+__all__ = ["alignment", "relabel_chain", "reference_from_pivot"]
 
 
 def _coords(weights, means, variances) -> np.ndarray:
@@ -50,8 +23,9 @@ def _coords(weights, means, variances) -> np.ndarray:
     return np.stack([means, np.log(variances), logw], axis=-1)
 
 
-def relabel_chain(chain: GibbsChain, reference: MixtureParams) -> RelabelledChain:
-    """Align every draw to `reference`; ties pick the lexicographically first map."""
+def alignment(chain: GibbsChain, reference: MixtureParams) -> np.ndarray:
+    """Per draw, the row of permutation_matrix(k) that brings it closest to
+    `reference`; ties pick the lexicographically first row."""
     k = chain.k
     if reference.k != k:
         raise ValueError("reference has a different number of components")
@@ -67,27 +41,15 @@ def relabel_chain(chain: GibbsChain, reference: MixtureParams) -> RelabelledChai
     coords = coords / scales
     ref = ref / scales
 
-    T = len(chain)
-    dists = np.empty((T, len(rows)))
+    dists = np.empty((len(chain), len(rows)))
     for p, row in enumerate(rows):
         dists[:, p] = np.sum((coords[:, row, :] - ref[None, :, :]) ** 2, axis=(1, 2))
-    applied = np.argmin(dists, axis=1)
+    return np.argmin(dists, axis=1)
 
-    gather = rows[applied]                       # (T, k)
-    inv = np.argsort(rows, axis=1)
-    relabelled = GibbsChain(
-        k=k,
-        weights=np.take_along_axis(chain.weights, gather, axis=1),
-        means=np.take_along_axis(chain.means, gather, axis=1),
-        variances=np.take_along_axis(chain.variances, gather, axis=1),
-        allocations=inv[applied[:, None], chain.allocations.astype(np.intp)].astype(
-            chain.allocations.dtype
-        ),
-        betas=chain.betas,
-        switch_flags=chain.switch_flags,
-        allocation_fallbacks=chain.allocation_fallbacks,
-    )
-    return RelabelledChain(chain=relabelled, applied=applied, permutation_rows=rows)
+
+def relabel_chain(chain: GibbsChain, reference: MixtureParams) -> GibbsChain:
+    """Every draw relabelled by its `alignment` to `reference`."""
+    return permute_draws(chain, alignment(chain, reference))
 
 
 def reference_from_pivot(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> MixtureParams:

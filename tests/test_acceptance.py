@@ -32,7 +32,6 @@ from mixevidence.estimators import (
     build_dual_proposal,
     build_permuted_mixture,
     build_plugin_proposal,
-    calibrate_truncation,
     chib,
     effective_sample_size,
     h_sigma,
@@ -81,7 +80,7 @@ def k1_battery():
 
 @pytest.fixture(scope="module")
 def d1_batch():
-    """D1-type, k=2, IG(2,3): chain, proposal, truncation report, estimates."""
+    """D1-type, k=2, IG(2,3): chain, proposal, full and truncated estimates."""
     cfg = ExperimentConfig(dataset="d1", k=2, prior="fixed:2,3", replicates=1,
                            seed=2024, **PROTOCOL)
     data = generate_dataset("d1", rng=RngStream(cfg.seed).substream("dataset"))
@@ -92,14 +91,12 @@ def d1_batch():
     pivot = select_pivot(chain, data, prior)
     rel = relabel_chain(chain, pivot[0])
     proposal = build_dual_proposal(rel, data, prior, cfg.J, stream.substream("subsample"))
-    report = calibrate_truncation(proposal, cfg.M, cfg.tau,
-                                  stream.substream("dual"), T=cfg.T)
     full = importance_estimate(proposal, cfg.T, stream.substream("dual"))
     trunc = importance_estimate(proposal, cfg.T, stream.substream("dual"),
                                 truncated=True, M=cfg.M, tau=cfg.tau)
     return {
         "cfg": cfg, "data": data, "prior": prior, "chain": chain, "stream": stream,
-        "proposal": proposal, "report": report, "full": full, "trunc": trunc,
+        "proposal": proposal, "full": full, "trunc": trunc,
         "elapsed": time.perf_counter() - started,
     }
 
@@ -162,7 +159,7 @@ def test_criterion_1_k1_oracle_concordance(k1_battery):
 
 def test_criterion_2_d1_truncation_table(d1_batch):
     """D1-type, k=2, IG(2,3): |A|=1, phi below threshold, tiny second cluster."""
-    report = d1_batch["report"]
+    report = d1_batch["trunc"].report
     eta2 = report.eta_bar[1]
     ok = (
         report.A_size == 1
@@ -350,7 +347,8 @@ def test_criterion_8_invariant_suite(d1_batch):
         prop = build_dual_proposal(rel, data, prior, 40, stream.substream("sub"))
 
         # q symmetry over all permutations of a random point
-        theta = prop.sample(1, stream.substream("pt")).row(0)
+        point = prop.sample(1, stream.substream("pt"))
+        theta = mx.MixtureParams(point.weights[0], point.means[0], point.variances[0])
         versions = ParamsBatch.from_params(
             [theta.permuted(s) for s in enumerate_permutations(k)]
         )

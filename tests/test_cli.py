@@ -85,6 +85,22 @@ def test_calibrate_prints_report(tmp_path, capsys):
     assert len(report["eta_bar"]) == 2
 
 
+def test_calibrate_describes_the_truncated_row(tmp_path, capsys):
+    """calibrate reports the truncation the sym_is_trunc estimate used."""
+    flags = ["--dataset", "galaxy", "--k", "4", "--prior", "rg",
+             "--iterations", "4000", "--burn-in", "1000", "--seed", "3"]
+    calibrated = tmp_path / "report.json"
+    estimated = tmp_path / "row.json"
+    assert main(["calibrate", *flags, "--out", str(calibrated)]) == 0
+    assert main(["estimate", "--estimator", "sym_is_trunc", *flags,
+                 "--out", str(estimated)]) == 0
+    report = json.loads(calibrated.read_text())
+    row = json.loads(estimated.read_text())
+    for key in ("A_size", "phi_hat", "delta", "eta_bar", "ordering"):
+        assert report[key] == row[key], key
+    assert f"|A| = {row['A_size']}," in capsys.readouterr().out
+
+
 def test_estimate_reports_failure_nonzero_exit(tmp_path):
     code = main([
         "estimate", "--estimator", "bridge", "--dataset", "d1", "--k", "1",

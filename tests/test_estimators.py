@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mixevidence.estimators import (
     build_dual_proposal,
     build_permuted_mixture,
     build_plugin_proposal,
-    calibrate_truncation,
     chib,
     effective_sample_size,
     h_sigma,
@@ -26,7 +26,6 @@ from mixevidence.model import (
     FixedPrior,
     MixtureParams,
     ParamsBatch,
-    log_block_density,
 )
 from mixevidence.numerics import (
     Permutation,
@@ -38,6 +37,7 @@ from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
 from conftest import random_params
+from reference import log_block_density
 
 # Frozen values from the enumeration/quadrature oracles (see test_oracle.py
 # for the recomputation): tiny 4+4-point dataset, prior N(0,100) x IG(2,3).
@@ -370,7 +370,7 @@ class TestCalibration:
         rel = relabel_chain(tiny_chain, pivot[0])
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=30, rng=RngStream(25))
-        report = calibrate_truncation(prop, M=300, rng=RngStream(27), T=2_000)
+        report = importance_estimate(prop, 2_000, RngStream(27), truncated=True, M=300).report
         assert np.all(np.diff(report.phi_trace) <= 1e-18)
         assert report.phi_trace[-1] == 0.0
         assert 1 <= report.A_size <= 2
@@ -385,7 +385,7 @@ class TestCalibration:
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(28))
         with pytest.raises(ValueError):
-            calibrate_truncation(prop, M=50, tau=0.0, rng=RngStream(29))
+            importance_estimate(prop, 50, RngStream(29), truncated=True, M=50, tau=0.0)
 
     def test_huge_tau_keeps_one_cluster(self, tiny_two_group_data_module,
                                         fixed_prior_module, tiny_chain):
@@ -393,7 +393,8 @@ class TestCalibration:
         rel = relabel_chain(tiny_chain, pivot[0])
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(28))
-        report = calibrate_truncation(prop, M=50, tau=1.0, rng=RngStream(29))
+        report = importance_estimate(prop, 50, RngStream(29), truncated=True, M=50,
+                                     tau=1.0).report
         assert report.A_size == 1
 
 
@@ -443,7 +444,9 @@ class TestChib:
         # a variance this small underflows every ordinate term to -inf
         bad = MixtureParams([0.5, 0.5], [0.0, 1.0], [1e-310, 1.0])
         alloc = Allocation(np.zeros(tiny_two_group_data_module.n, dtype=int))
-        with pytest.raises(EstimationFailureError, match="pivot"):
+        # the typed error, with no floating-point warning on the way
+        with pytest.raises(EstimationFailureError, match="pivot"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain,
                  (bad, alloc), "plain")
 

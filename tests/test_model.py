@@ -12,27 +12,30 @@ from mixevidence.model import (
     HierarchicalPrior,
     MixtureParams,
     ParamsBatch,
-    SufficientStats,
-    allocation_conditional,
-    allocation_log_probs,
-    full_conditionals,
-    log_block_density,
     log_likelihood,
     log_likelihood_batch,
     log_prior,
     log_prior_batch,
-    sample_block,
 )
 from mixevidence.numerics import (
     Permutation,
     RngStream,
     enumerate_permutations,
     inverse_gamma_logpdf,
-    log_pdf,
     normal_logpdf,
 )
 
 from conftest import random_params
+from reference import (
+    SufficientStats,
+    allocation_conditional,
+    allocation_log_probs,
+    beta_prior,
+    full_conditionals,
+    log_block_density,
+    log_pdf,
+    sample_block,
+)
 
 
 class TestTypes:
@@ -139,7 +142,7 @@ class TestPrior:
         manual = float(
             np.sum(normal_logpdf(params.means, prior.center, prior.spread**2 / 4))
             + np.sum(inverse_gamma_logpdf(params.variances, 2.0, params.beta))
-            + log_pdf(prior.beta_prior(), params.beta)
+            + log_pdf(beta_prior(prior), params.beta)
         )
         assert log_prior(params, prior) == pytest.approx(manual)
 
