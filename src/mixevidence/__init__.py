@@ -4,15 +4,16 @@ A Gibbs sampler over the augmented mixture model feeds a family of
 marginal-likelihood estimators: candidate-point (Chib-style) identities,
 importance sampling with symmetrized Rao-Blackwell proposals built from
 relabelled Gibbs draws, a truncated variant that skips numerically
-negligible permutation clusters, and iterative bridge sampling.
+negligible permutation clusters, and iterative bridge sampling.  A label
+permutation is a row of `permutation_matrix(k)`, and every density is
+evaluated on `ParamsBatch` batches.
 """
 
 from .numerics import (
-    Permutation,
     PermutationCapacityError,
     RngStream,
-    enumerate_permutations,
     log_sum_exp,
+    permutation_matrix,
 )
 from .model import (
     Allocation,
@@ -21,18 +22,16 @@ from .model import (
     HierarchicalPrior,
     MixtureParams,
     PriorSpec,
-    log_likelihood,
-    log_prior,
 )
 from .gibbs import (
     GibbsChain,
     GibbsConfig,
+    permute_chain,
     permute_draws,
-    random_permutation_step,
     run_gibbs,
     select_pivot,
 )
-from .relabel import alignment, reference_from_pivot, relabel_chain
+from .relabel import alignment, relabel_chain
 from .estimators import (
     ContributionReport,
     DualProposal,
@@ -44,7 +43,6 @@ from .estimators import (
     build_plugin_proposal,
     chib,
     effective_sample_size,
-    h_sigma,
     importance_estimate,
     workload_gain,
 )

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .datasets import generate_dataset
-from .gibbs import GibbsConfig, export_chain_csv, run_gibbs
+from .gibbs import GibbsConfig, export_chain_csv, permute_chain, run_gibbs
 from .harness import (
     KNOWN_ESTIMATORS,
     ExperimentConfig,
@@ -88,11 +88,12 @@ def _cmd_gibbs(args) -> int:
         iterations=args.iterations,
         burn_in=args.burn_in,
         thinning=args.thinning,
-        random_permutation=args.random_permutation,
         seed=args.seed,
     )
-    chain = run_gibbs(data, prior, args.k, config,
-                      rng=RngStream(args.seed).substream("replicate", 0, "gibbs"))
+    stream = RngStream(args.seed).substream("replicate", 0)
+    chain = run_gibbs(data, prior, args.k, config, rng=stream.substream("gibbs"))
+    if args.permute:
+        chain = permute_chain(chain, stream.substream("permute"))
     export_chain_csv(chain, data, prior, args.out)
     switches = int(chain.switch_flags.sum())
     print(f"wrote {len(chain)} draws to {args.out} "
@@ -174,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=15_000)
     p.add_argument("--burn-in", type=int, dest="burn_in", default=5_000)
     p.add_argument("--thinning", type=int, default=1)
-    p.add_argument("--random-permutation", action="store_true", dest="random_permutation")
+    p.add_argument("--random-permutation", action="store_true", dest="permute",
+                   help="relabel each stored draw by a uniformly drawn label "
+                        "permutation after the run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out", required=True)

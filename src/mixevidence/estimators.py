@@ -9,9 +9,10 @@ contributing permutation clusters), a randomly-permuted mixture proposal,
 and iterative bridge sampling.
 
 All weight arithmetic is in log space.  Per-permutation cluster densities
-h_sigma(theta) = (1/J) sum_j pi(theta | sigma(draw_j), x) are the shared
-building block: the symmetrized proposal density is their average over
-the permutation set.
+h_sigma(theta) = (1/J) sum_j pi(theta | sigma(draw_j), x), one column of
+`DualProposal.log_h` per row sigma of `permutation_matrix(k)`, are the
+shared building block: the symmetrized proposal density is their average
+over the permutation set.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from .model import (
     MixtureParams,
     ParamsBatch,
     PriorSpec,
-    log_likelihood,
     log_likelihood_batch,
-    log_prior,
     log_prior_batch,
 )
-from .numerics import Permutation, as_generator, log_sum_exp, permutation_matrix
+from .numerics import as_generator, log_sum_exp, permutation_matrix
 
 __all__ = [
     "DEFAULT_TAU",
@@ -46,7 +45,6 @@ __all__ = [
     "build_plugin_proposal",
     "build_dual_proposal",
     "build_permuted_mixture",
-    "h_sigma",
     "chib",
     "importance_estimate",
     "workload_gain",
@@ -226,7 +224,8 @@ def build_plugin_proposal(data: Dataset, prior: PriorSpec,
                           pivot: tuple[MixtureParams, Allocation]) -> DualProposal:
     """Single-draw proposal symmetrized over all k! permutations."""
     params, alloc = pivot
-    cond = ConditioningSet.from_pairs(data, prior, [(params, alloc)])
+    cond = ConditioningSet.from_draws(data, prior, params.means, alloc.labels,
+                                      None if params.beta is None else [params.beta])
     k = params.k
     return DualProposal(
         data=data,
@@ -288,13 +287,6 @@ def build_permuted_mixture(chain: GibbsChain, data: Dataset, prior: PriorSpec,
     )
 
 
-def h_sigma(proposal: DualProposal, sigma: Permutation, theta: MixtureParams) -> float:
-    """log h_sigma(theta): the pooled conditional density of one cluster."""
-    batch = ParamsBatch.from_params([theta])
-    out = proposal.cond.log_pooled_density(batch, np.array([sigma.mapping]))
-    return float(out[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Candidate-point (Chib-style) estimators
 # ---------------------------------------------------------------------------
@@ -320,26 +312,21 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
         data, prior, chain.means, chain.allocations, chain.betas
     )
     identity = np.arange(k, dtype=np.intp)[None, :]
-
-    if mode == "permutation_averaged":
-        rows = permutation_matrix(k)
-        versions = [params.permuted(Permutation(tuple(r))) for r in rows]
-        batch = ParamsBatch.from_params(versions)
-        terms = cond.log_density_terms(batch, identity)[:, 0, :]    # (k!, T)
-        # per-draw series pooled over relabellings, for diagnostics
-        per_draw = log_sum_exp(terms, axis=0) - math.log(len(rows))
-        log_ordinate = log_sum_exp(per_draw) - math.log(T)
-    else:
-        batch = ParamsBatch.from_params([params])
-        per_draw = cond.log_density_terms(batch, identity)[0, 0, :]  # (T,)
-        log_ordinate = log_sum_exp(per_draw) - math.log(T)
+    # the pivot's relabellings (permutation_averaged) or the pivot alone
+    rows = permutation_matrix(k) if mode == "permutation_averaged" else identity
+    batch = ParamsBatch(params.weights[rows], params.means[rows], params.variances[rows],
+                        None if params.beta is None else np.full(len(rows), params.beta))
+    terms = cond.log_density_terms(batch, identity)[:, 0, :]        # (P, T)
+    # per-draw series pooled over relabellings, for diagnostics
+    per_draw = log_sum_exp(terms, axis=0) - math.log(len(rows))
+    log_ordinate = log_sum_exp(per_draw) - math.log(T)
 
     if not np.isfinite(log_ordinate):
         raise EstimationFailureError(
             "posterior ordinate underflowed: the pivot is unsupported by the chain"
         )
 
-    log_ev = log_prior(params, prior) + log_likelihood(data, params) - log_ordinate
+    log_ev = _log_target(data, prior, ParamsBatch.from_params([params]))[0] - log_ordinate
     if mode == "k_fact":
         log_ev += math.log(math.factorial(k))
 

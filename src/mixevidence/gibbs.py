@@ -6,6 +6,10 @@ the shared scale when the prior is hierarchical.  The sweep draws its
 blocks from the conditionals in `model` that `ConditioningSet` samples and
 evaluates, so one sweep from a stored draw is an exact sample from the
 block density the estimators use.
+
+Stored draws are relabelled only afterwards, by rows of
+`permutation_matrix(k)` (`permute_draws`): uniformly at random in
+`permute_chain`, or towards a reference in `relabel.relabel_chain`.
 """
 
 from __future__ import annotations
@@ -29,18 +33,12 @@ from .model import (
     mean_conditional,
     variance_conditional,
 )
-from .numerics import (
-    Permutation,
-    as_generator,
-    normal_logpdf,
-    permutation_matrix,
-)
+from .numerics import as_generator, normal_logpdf, permutation_matrix
 
 __all__ = [
     "GibbsConfig",
     "GibbsChain",
     "run_gibbs",
-    "random_permutation_step",
     "permute_draws",
     "permute_chain",
     "select_pivot",
@@ -52,12 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sweep counts and chain post-processing options."""
+    """Sweep counts, thinning and the default seed."""
 
     iterations: int = 15_000
     burn_in: int = 5_000
     thinning: int = 1
-    random_permutation: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -81,7 +78,6 @@ class GibbsChain:
     variances: np.ndarray        # (T, k)
     allocations: np.ndarray      # (T, n) small ints
     betas: np.ndarray | None     # (T,) under the hierarchical prior
-    switch_flags: np.ndarray     # (T,) smallest-mean identity changed
     allocation_fallbacks: int = 0
 
     def __len__(self) -> int:
@@ -90,6 +86,14 @@ class GibbsChain:
     @property
     def n(self) -> int:
         return self.allocations.shape[1]
+
+    @property
+    def switch_flags(self) -> np.ndarray:
+        """(T,) True where the label of the smallest mean differs from the previous draw's."""
+        low = np.argmin(self.means, axis=1)
+        flags = np.zeros(len(self), dtype=bool)
+        flags[1:] = low[1:] != low[:-1]
+        return flags
 
     def draw(self, t: int) -> tuple[MixtureParams, Allocation]:
         params = MixtureParams(
@@ -112,7 +116,6 @@ class GibbsChain:
             variances=self.variances[idx],
             allocations=self.allocations[idx],
             betas=None if self.betas is None else self.betas[idx],
-            switch_flags=self.switch_flags[idx],
         )
 
 
@@ -163,8 +166,6 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     Z = np.empty((kept, n), dtype=np.int16)
     B = np.empty(kept) if prior.hierarchical else None
 
-    perm_rows = permutation_matrix(k) if config.random_permutation else None
-
     variances = None
     weights = None
     total_fallbacks = 0
@@ -186,33 +187,14 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
             shape, rate = beta_conditional(prior, variances)
             beta = float(gen.gamma(shape, 1.0 / rate))
 
-        if perm_rows is not None:
-            row = perm_rows[gen.integers(len(perm_rows))]
-            weights, means, variances = weights[row], means[row], variances[row]
-            z = np.argsort(row)[z]
-
         if sweep >= config.burn_in and (sweep - config.burn_in) % config.thinning == 0:
             W[out], M[out], V[out], Z[out] = weights, means, variances, z
             if B is not None:
                 B[out] = beta
             out += 1
 
-    low_mean = np.argmin(M, axis=1)
-    switches = np.zeros(kept, dtype=bool)
-    switches[1:] = low_mean[1:] != low_mean[:-1]
-    return GibbsChain(
-        k=k, weights=W, means=M, variances=V, allocations=Z, betas=B,
-        switch_flags=switches, allocation_fallbacks=total_fallbacks,
-    )
-
-
-def random_permutation_step(draw: tuple[MixtureParams, Allocation], rng):
-    """Apply one uniformly drawn label permutation jointly to a draw."""
-    gen = as_generator(rng)
-    params, alloc = draw
-    rows = permutation_matrix(params.k)
-    sigma = Permutation(tuple(rows[gen.integers(len(rows))]))
-    return params.permuted(sigma), alloc.permuted(sigma)
+    return GibbsChain(k=k, weights=W, means=M, variances=V, allocations=Z, betas=B,
+                      allocation_fallbacks=total_fallbacks)
 
 
 def permute_draws(chain: GibbsChain, idx) -> GibbsChain:
@@ -233,7 +215,11 @@ def permute_draws(chain: GibbsChain, idx) -> GibbsChain:
 
 
 def permute_chain(chain: GibbsChain, rng) -> GibbsChain:
-    """Independently random-permute every draw of a chain."""
+    """Relabel every draw by an independent, uniformly drawn label permutation.
+
+    Under the exchangeable priors of this package this has the law of the
+    random permutation sampler, which relabels inside every sweep.
+    """
     idx = as_generator(rng).integers(math.factorial(chain.k), size=len(chain))
     return permute_draws(chain, idx)
 

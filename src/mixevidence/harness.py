@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -209,14 +210,6 @@ def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
     return rows
 
 
-def _worker(payload):
-    config_dict, data_obs, data_name, replicate = payload
-    config = ExperimentConfig.from_dict(config_dict)
-    data = Dataset(np.array(data_obs), name=data_name)
-    prior = parse_prior(config.prior, data)
-    return run_replicate(config, data, prior, replicate)
-
-
 @dataclass
 class RunRecord:
     """Config echo, per-replicate estimator rows, and summary tables."""
@@ -257,16 +250,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """The full protocol: replicated chains, estimators, summaries, outputs."""
     data = resolve_dataset(config)
     prior = parse_prior(config.prior, data)
-    payloads = [
-        (config.as_dict(), data.observations.tolist(), data.name, r)
-        for r in range(config.replicates)
-    ]
-    if config.threads > 1 and config.replicates > 1:
+    replicate = partial(run_replicate, config, data, prior)
+    if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            per_rep = list(pool.map(_worker, payloads))
+            per_rep = list(pool.map(replicate, range(config.replicates)))
     else:
-        per_rep = [run_replicate(config, data, prior, r)
-                   for r in range(config.replicates)]
+        per_rep = list(map(replicate, range(config.replicates)))
     rows = [row for rep_rows in per_rep for row in rep_rows]
     record = RunRecord(config=config, dataset_name=data.name, rows=rows)
     record.summary = summarize(rows)

@@ -33,7 +33,6 @@ from .numerics import (
     inverse_gamma_logpdf,
     log_sum_exp,
     normal_logpdf,
-    Permutation,
 )
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "FixedPrior",
     "HierarchicalPrior",
     "PriorSpec",
-    "log_likelihood",
-    "log_prior",
     "variance_conditional",
     "mean_conditional",
     "beta_conditional",
@@ -117,14 +114,6 @@ class MixtureParams:
     def k(self) -> int:
         return self.weights.size
 
-    def permuted(self, sigma: Permutation) -> "MixtureParams":
-        return MixtureParams(
-            weights=sigma.apply_to_components(self.weights),
-            means=sigma.apply_to_components(self.means),
-            variances=sigma.apply_to_components(self.variances),
-            beta=self.beta,
-        )
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -145,14 +134,6 @@ class Allocation:
     @property
     def n(self) -> int:
         return self.labels.size
-
-    def counts(self, k: int) -> np.ndarray:
-        if np.any(self.labels >= k):
-            raise ValueError("allocation label out of range for k")
-        return np.bincount(self.labels, minlength=k)
-
-    def permuted(self, sigma: Permutation) -> "Allocation":
-        return Allocation(sigma.apply_to_labels(self.labels))
 
 
 @dataclass(frozen=True)
@@ -220,39 +201,6 @@ PriorSpec = FixedPrior | HierarchicalPrior
 
 
 # ---------------------------------------------------------------------------
-# Densities
-# ---------------------------------------------------------------------------
-
-def log_likelihood(data: Dataset, params: MixtureParams) -> float:
-    """log p(x | theta) = sum_j log sum_i w_i N(x_j; mu_i, var_i)."""
-    x = data.observations[:, None]
-    with np.errstate(divide="ignore"):
-        comp = np.log(params.weights)[None, :] + normal_logpdf(
-            x, params.means[None, :], params.variances[None, :]
-        )
-    return float(np.sum(log_sum_exp(comp, axis=1)))
-
-
-def log_prior(params: MixtureParams, prior: PriorSpec) -> float:
-    """Joint log-prior of the state (including the beta level if present)."""
-    k = params.k
-    total = float(dirichlet_logpdf(params.weights, np.ones(k)))
-    total += float(np.sum(normal_logpdf(params.means, prior.mean_loc, prior.mean_var)))
-    if prior.hierarchical:
-        if params.beta is None:
-            raise ValueError("hierarchical prior requires params.beta")
-        total += float(
-            np.sum(inverse_gamma_logpdf(params.variances, prior.var_shape, params.beta))
-        )
-        total += float(gamma_logpdf(params.beta, prior.beta_shape, prior.beta_rate))
-    else:
-        total += float(
-            np.sum(inverse_gamma_logpdf(params.variances, prior.var_shape, prior.var_scale))
-        )
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Block conditionals, on arrays of per-component statistics.  Counts, sums
 # and sums of squares are those of the conditioning allocation; empty
 # components reduce to the prior.
@@ -280,15 +228,19 @@ def mean_conditional(prior: PriorSpec, counts, sums, variances):
 def beta_conditional(prior: HierarchicalPrior, variances):
     """Shape and rate of the gamma conditional of the shared scale given the
     fresh variances (components on the last axis)."""
-    # a subnormal variance overflows 1/v to inf: infinite precision is the correct limit
-    with np.errstate(over="ignore"):
-        rate = prior.beta_rate + np.sum(1.0 / variances, axis=-1)
+    rate = prior.beta_rate + np.sum(1.0 / variances, axis=-1)
     return prior.beta_shape + prior.var_shape * np.shape(variances)[-1], rate
 
 
 # ---------------------------------------------------------------------------
 # Vectorized machinery: parameter batches and precomputed conditioning sets.
 # ---------------------------------------------------------------------------
+
+# States per block of the batched likelihood, and points per block of the
+# block-density kernel; both bound the size of the temporaries.
+LIKELIHOOD_CHUNK = 512
+KERNEL_CHUNK = 256
+
 
 @dataclass
 class ParamsBatch:
@@ -328,14 +280,15 @@ class ParamsBatch:
         )
 
 
-def log_likelihood_batch(data: Dataset, batch: ParamsBatch, chunk: int = 512) -> np.ndarray:
-    """Vectorized log p(x | theta) over a batch, chunked to bound memory."""
+def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
+    """Vectorized log p(x | theta) = sum_j log sum_i w_i N(x_j; mu_i, var_i) over
+    a batch, LIKELIHOOD_CHUNK states at a time to bound memory."""
     x = data.observations
     out = np.empty(batch.size)
     with np.errstate(divide="ignore"):
         logw = np.log(batch.weights)
-    for lo in range(0, batch.size, chunk):
-        hi = min(lo + chunk, batch.size)
+    for lo in range(0, batch.size, LIKELIHOOD_CHUNK):
+        hi = min(lo + LIKELIHOOD_CHUNK, batch.size)
         comp = logw[lo:hi, :, None] + normal_logpdf(
             x[None, None, :],
             batch.means[lo:hi, :, None],
@@ -419,17 +372,6 @@ class ConditioningSet:
         return cls(prior=prior, counts=counts, sums=sums,
                    ig_shape=ig_shape, ig_scale=ig_scale, dir_const=dir_const)
 
-    @classmethod
-    def from_pairs(cls, data: Dataset, prior: PriorSpec, pairs) -> "ConditioningSet":
-        """Build from an iterable of (MixtureParams, Allocation) pairs."""
-        pairs = list(pairs)
-        means = np.stack([p.means for p, _ in pairs])
-        allocs = np.stack([a.labels for _, a in pairs])
-        betas = None
-        if prior.hierarchical:
-            betas = np.array([p.beta for p, _ in pairs], dtype=float)
-        return cls.from_draws(data, prior, means, allocs, betas)
-
     def _eval_pieces(self, batch: ParamsBatch):
         """Batch-side quantities shared by every permutation column."""
         prior = self.prior
@@ -438,16 +380,17 @@ class ConditioningSet:
         # a zero weight with a zero count must contribute 0, not -inf * 0
         logw = np.where(np.isneginf(logw), -1e300, logw)
         logv = np.log(batch.variances)
+        if prior.hierarchical and batch.betas is None:
+            raise ValueError("hierarchical prior requires batch.betas")
         # a subnormal variance overflows 1/v to inf: infinite precision is the correct limit
         with np.errstate(over="ignore"):
             inv_v = 1.0 / batch.variances
+            if prior.hierarchical:
+                g_shape, g_rate = beta_conditional(prior, batch.variances)
         ig_const = self.dir_const + np.sum(
             self.ig_shape * np.log(self.ig_scale) - gammaln(self.ig_shape), axis=1
         )                                         # (J,) permutation-invariant sums
         if prior.hierarchical:
-            if batch.betas is None:
-                raise ValueError("hierarchical prior requires batch.betas")
-            g_shape, g_rate = beta_conditional(prior, batch.variances)
             beta_term = (
                 g_shape * np.log(g_rate)
                 - gammaln(g_shape)
@@ -484,32 +427,30 @@ class ConditioningSet:
         # inf - inf; the correct limit of the log-density there is -inf
         return np.where(np.isnan(total), -np.inf, total)
 
-    def log_pooled_density(self, batch: ParamsBatch, perms: np.ndarray,
-                           chunk: int = 256) -> np.ndarray:
+    def log_pooled_density(self, batch: ParamsBatch, perms: np.ndarray) -> np.ndarray:
         """(B, P) array of log[(1/J) sum_j pi(theta_b | sigma_p(draw_j), x)].
 
         `perms` is a (P, k) integer array of label permutations applied to
         the conditioning draws.
         """
         log_J = math.log(self.J)
-        return self._per_permutation(batch, perms, chunk, (),
+        return self._per_permutation(batch, perms, (),
                                      lambda terms: log_sum_exp(terms, axis=1) - log_J)
 
-    def log_density_terms(self, batch: ParamsBatch, perms: np.ndarray,
-                          chunk: int = 256) -> np.ndarray:
+    def log_density_terms(self, batch: ParamsBatch, perms: np.ndarray) -> np.ndarray:
         """(B, P, J) un-pooled log block densities (memory: B*P*J floats)."""
-        return self._per_permutation(batch, perms, chunk, (self.J,), lambda terms: terms)
+        return self._per_permutation(batch, perms, (self.J,), lambda terms: terms)
 
-    def _per_permutation(self, batch, perms, chunk, tail, reduce):
-        """(B, P, *tail) array of `reduce` applied to each (chunk, J) block of
-        log densities, one permutation and batch chunk at a time."""
+    def _per_permutation(self, batch, perms, tail, reduce):
+        """(B, P, *tail) array of `reduce` applied to each (KERNEL_CHUNK, J) block
+        of log densities, one permutation and batch chunk at a time."""
         perms = np.atleast_2d(np.asarray(perms, dtype=np.intp))
         B, P = batch.size, perms.shape[0]
         pieces = self._eval_pieces(batch)
         out = np.empty((B, P) + tail)
         for p in range(P):
-            for lo in range(0, B, chunk):
-                hi = min(lo + chunk, B)
+            for lo in range(0, B, KERNEL_CHUNK):
+                hi = min(lo + KERNEL_CHUNK, B)
                 # held until the next chunk's terms exist: freeing it first lets
                 # the allocator return the pages and fault them in again
                 # (4x the page faults, about 10% slower, on the D2 bridge)

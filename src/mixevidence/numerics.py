@@ -1,25 +1,25 @@
-"""Log-domain arithmetic, permutation machinery and log-density kernels.
+"""Log-domain arithmetic, label permutations and log-density kernels.
 
 Everything downstream (mixture densities, importance weights, cluster
 contributions) is accumulated in log space; probabilities are only
 exponentiated after a max-shift.  The log-density kernels are exact and
 normalized, since the evidence identities this package implements
-require normalized conditionals.
+require normalized conditionals.  A label permutation is always a row of
+`permutation_matrix(k)`.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
-from itertools import permutations as _iter_permutations
+from itertools import permutations
 
 import numpy as np
 from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Enumerating S_k beyond this is refused (k! blow-up); callers may override.
+# Enumerating S_k beyond this is refused (k! blow-up).
 MAX_ENUMERATED_COMPONENTS = 8
 
 
@@ -44,78 +44,21 @@ def log_sum_exp(values, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-def log_mean_exp(values, axis=None):
-    """log of the arithmetic mean of exp(values), max-shifted."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("log_mean_exp of an empty collection")
-    n = values.size if axis is None else values.shape[axis]
-    return log_sum_exp(values, axis=axis) - math.log(n)
+def permutation_matrix(k: int) -> np.ndarray:
+    """The (k!, k) array of all label permutations, lexicographic, identity first.
 
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of component labels {0, ..., k-1}.
-
-    ``mapping[i]`` is the source label whose parameters become label ``i``,
-    so applying to a component-indexed array is a gather ``arr[mapping]``.
+    A row is a gather: relabelling a component-indexed array by `row` gives
+    label i the values of label row[i], and an allocation vector `z` follows
+    as argsort(row)[z].
     """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.mapping)
-        if sorted(self.mapping) != list(range(k)):
-            raise ValueError(f"not a bijection on 0..{k - 1}: {self.mapping}")
-
-    @property
-    def k(self) -> int:
-        return len(self.mapping)
-
-    @staticmethod
-    def identity(k: int) -> "Permutation":
-        return Permutation(tuple(range(k)))
-
-    def is_identity(self) -> bool:
-        return all(i == m for i, m in enumerate(self.mapping))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.k
-        for new, old in enumerate(self.mapping):
-            inv[old] = new
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        if other.k != self.k:
-            raise ValueError("size mismatch in permutation composition")
-        return Permutation(tuple(other.mapping[m] for m in self.mapping))
-
-    def apply_to_components(self, arr: np.ndarray) -> np.ndarray:
-        """Reorder the last axis of a component-indexed array."""
-        return np.asarray(arr)[..., list(self.mapping)]
-
-    def apply_to_labels(self, labels: np.ndarray) -> np.ndarray:
-        """Relabel an allocation vector consistently with the component gather."""
-        inv = np.array(self.inverse().mapping)
-        return inv[np.asarray(labels)]
-
-
-def enumerate_permutations(k: int, max_k: int = MAX_ENUMERATED_COMPONENTS) -> list[Permutation]:
-    """All k! label permutations, lexicographic, identity first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > max_k:
+    if k > MAX_ENUMERATED_COMPONENTS:
         raise PermutationCapacityError(
             f"enumerating S_{k} needs {math.factorial(k)} permutations "
-            f"(> cap {max_k}!={math.factorial(max_k)}); raise max_k to force"
+            f"(> cap {MAX_ENUMERATED_COMPONENTS}!={math.factorial(MAX_ENUMERATED_COMPONENTS)})"
         )
-    return [Permutation(p) for p in _iter_permutations(range(k))]
-
-
-def permutation_matrix(k: int, max_k: int = MAX_ENUMERATED_COMPONENTS) -> np.ndarray:
-    """The (k!, k) integer array of all mappings, lexicographic order."""
-    return np.array([p.mapping for p in enumerate_permutations(k, max_k)], dtype=np.intp)
+    return np.array(list(permutations(range(k))), dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Pivot-based relabelling of Gibbs output.
 
 Label switching is removed by recentering: each draw is mapped by the
-label permutation that brings it closest to a reference state in
-standardized (mean, log variance, log weight) coordinates, searching all
-k! permutations exactly.  `alignment` returns the per-draw permutations,
+label permutation that brings it closest to a reference state (in the
+pipeline, the pivot `gibbs.select_pivot` returns) in standardized (mean,
+log variance, log weight) coordinates, searching all k! permutations
+exactly.  `alignment` returns the per-draw rows of `permutation_matrix(k)`,
 so the transform is reproducible and invertible.
 """
 
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gibbs import GibbsChain, permute_draws, select_pivot
-from .model import Dataset, MixtureParams, PriorSpec
+from .gibbs import GibbsChain, permute_draws
+from .model import MixtureParams
 from .numerics import permutation_matrix
 
-__all__ = ["alignment", "relabel_chain", "reference_from_pivot"]
+__all__ = ["alignment", "relabel_chain"]
 
 
 def _coords(weights, means, variances) -> np.ndarray:
@@ -51,8 +52,3 @@ def relabel_chain(chain: GibbsChain, reference: MixtureParams) -> GibbsChain:
     """Every draw relabelled by its `alignment` to `reference`."""
     return permute_draws(chain, alignment(chain, reference))
 
-
-def reference_from_pivot(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> MixtureParams:
-    """The recentering reference: the chain's highest-posterior draw."""
-    params, _ = select_pivot(chain, data, prior)
-    return params

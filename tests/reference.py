@@ -1,12 +1,13 @@
-"""Scalar reference implementation of the distributions and Gibbs blocks.
+"""Scalar reference implementation of the densities and Gibbs blocks.
 
-The library evaluates and samples the one-sweep block density only in
-batched form (`ConditioningSet`, `run_gibbs`).  This module keeps a
+The library evaluates and samples the likelihood, the prior and the
+one-sweep block density only in batched form (`log_likelihood_batch`,
+`log_prior_batch`, `ConditioningSet`, `run_gibbs`).  This module keeps a
 per-draw implementation written independently of that code: small
 distribution value objects with exact normalized log-densities, the
-sufficient statistics of an allocation, the full conditionals, and the
-block density pi(theta | theta', z', x) with an exact sampler.  The tests
-check the batched code against it.
+scalar likelihood and prior, the sufficient statistics of an allocation,
+the full conditionals, and the block density pi(theta | theta', z', x)
+with an exact sampler.  The tests check the batched code against it.
 """
 
 from __future__ import annotations
@@ -129,6 +130,52 @@ def sample(spec: DistSpec, rng, size=None):
 def beta_prior(prior) -> Gamma:
     """The Gamma(beta_shape, beta_rate) prior of a hierarchical prior's shared scale."""
     return Gamma(prior.beta_shape, prior.beta_rate)
+
+
+# ---------------------------------------------------------------------------
+# Likelihood, prior and relabelling of one state.
+# ---------------------------------------------------------------------------
+
+def log_likelihood(data: Dataset, params: MixtureParams) -> float:
+    """log p(x | theta) = sum_j log sum_i w_i N(x_j; mu_i, var_i)."""
+    x = data.observations[:, None]
+    with np.errstate(divide="ignore"):
+        comp = np.log(params.weights)[None, :] + normal_logpdf(
+            x, params.means[None, :], params.variances[None, :]
+        )
+    return float(np.sum(log_sum_exp(comp, axis=1)))
+
+
+def log_prior(params: MixtureParams, prior: PriorSpec) -> float:
+    """Joint log-prior of the state (including the beta level if present)."""
+    k = params.k
+    total = float(dirichlet_logpdf(params.weights, np.ones(k)))
+    total += float(np.sum(normal_logpdf(params.means, prior.mean_loc, prior.mean_var)))
+    if prior.hierarchical:
+        if params.beta is None:
+            raise ValueError("hierarchical prior requires params.beta")
+        total += float(
+            np.sum(inverse_gamma_logpdf(params.variances, prior.var_shape, params.beta))
+        )
+        total += float(gamma_logpdf(params.beta, prior.beta_shape, prior.beta_rate))
+    else:
+        total += float(
+            np.sum(inverse_gamma_logpdf(params.variances, prior.var_shape, prior.var_scale))
+        )
+    return total
+
+
+def permute_params(params: MixtureParams, row) -> MixtureParams:
+    """`params` relabelled by a row of `permutation_matrix(k)`: label i takes
+    the values of label row[i]."""
+    row = np.asarray(row)
+    return MixtureParams(params.weights[row], params.means[row], params.variances[row],
+                         params.beta)
+
+
+def permute_labels(alloc: Allocation, row) -> Allocation:
+    """`alloc` relabelled to match `permute_params(., row)`."""
+    return Allocation(np.argsort(row)[alloc.labels])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_gibbs_exports_chain(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     assert "log_posterior" in rows[0]
+
+
+def test_gibbs_random_permutation(tmp_path, capsys):
+    out = tmp_path / "chain.csv"
+    code = main([
+        "gibbs", "--dataset", "d1", "--k", "2", "--prior", "fixed:2,3",
+        "--iterations", "2100", "--burn-in", "100", "--seed", "1",
+        "--random-permutation", "--out", str(out),
+    ])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    low = np.argmin([[float(r["mean_0"]), float(r["mean_1"])] for r in rows], axis=1)
+    # D1 barely switches on its own; relabelled draws give each label the
+    # smallest mean half the time, independently from draw to draw
+    assert abs(np.mean(low == 0) - 0.5) < 4 * math.sqrt(0.25 / len(rows))
+    switches = int(np.sum(low[1:] != low[:-1]))
+    assert f"({switches} smallest-mean identity switches)" in capsys.readouterr().out
 
 
 def test_estimate_single(tmp_path):

@@ -14,7 +14,6 @@ from mixevidence.estimators import (
     build_plugin_proposal,
     chib,
     effective_sample_size,
-    h_sigma,
     importance_estimate,
     log_weight_stderr,
     workload_gain,
@@ -27,17 +26,12 @@ from mixevidence.model import (
     MixtureParams,
     ParamsBatch,
 )
-from mixevidence.numerics import (
-    Permutation,
-    RngStream,
-    enumerate_permutations,
-    log_sum_exp,
-)
+from mixevidence.numerics import RngStream, log_sum_exp, permutation_matrix
 from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
 from conftest import random_params
-from reference import log_block_density
+from reference import log_block_density, permute_params
 
 # Frozen values from the enumeration/quadrature oracles (see test_oracle.py
 # for the recomputation): tiny 4+4-point dataset, prior N(0,100) x IG(2,3).
@@ -142,7 +136,7 @@ class TestProposals:
         prop = build_plugin_proposal(tiny_two_group_data_module, fixed_prior_module, pivot)
         theta = random_params(2, 5)
         batch = ParamsBatch.from_params(
-            [theta.permuted(s) for s in enumerate_permutations(2)]
+            [permute_params(theta, row) for row in permutation_matrix(2)]
         )
         values = prop.log_q(batch)
         np.testing.assert_allclose(values, values[0], atol=1e-12)
@@ -155,7 +149,7 @@ class TestProposals:
                                    J=20, rng=RngStream(4))
         theta = random_params(2, 6)
         batch = ParamsBatch.from_params(
-            [theta.permuted(s) for s in enumerate_permutations(2)]
+            [permute_params(theta, row) for row in permutation_matrix(2)]
         )
         values = prop.log_q(batch)
         np.testing.assert_allclose(values, values[0], atol=1e-12)
@@ -167,11 +161,13 @@ class TestProposals:
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(5))
         theta = random_params(2, 7)
-        for sigma in enumerate_permutations(2):
-            lhs = h_sigma(prop, sigma, theta)
-            rhs = h_sigma(prop, Permutation.identity(2),
-                          theta.permuted(sigma.inverse()))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        rows = permutation_matrix(2)
+        # h_sigma(theta) = h_identity(theta relabelled by the inverse of sigma)
+        lhs = prop.log_h(ParamsBatch.from_params([theta]))[0]
+        inverses = ParamsBatch.from_params(
+            [permute_params(theta, np.argsort(row)) for row in rows])
+        rhs = prop.cond.log_pooled_density(inverses, rows[:1])[:, 0]
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_q_is_average_of_clusters(self, tiny_two_group_data_module,
                                       fixed_prior_module, tiny_chain):
@@ -181,7 +177,7 @@ class TestProposals:
                                    J=10, rng=RngStream(6))
         theta = random_params(2, 8)
         batch = ParamsBatch.from_params([theta])
-        log_hs = [h_sigma(prop, s, theta) for s in enumerate_permutations(2)]
+        log_hs = [prop.cond.log_pooled_density(batch, row)[0, 0] for row in permutation_matrix(2)]
         expected = log_sum_exp(np.array(log_hs)) - math.log(2)
         assert prop.log_q(batch)[0] == pytest.approx(expected, abs=1e-12)
 
@@ -228,9 +224,9 @@ class TestProposals:
         theta = random_params(2, 13)
         direct = log_block_density(theta, (params, alloc), tiny_two_group_data_module,
                                    fixed_prior_module)
-        assert h_sigma(plugin, Permutation.identity(2), theta) == pytest.approx(
-            direct, abs=1e-10
-        )
+        identity = permutation_matrix(2)[:1]
+        h = plugin.cond.log_pooled_density(ParamsBatch.from_params([theta]), identity)
+        assert h[0, 0] == pytest.approx(direct, abs=1e-10)
 
 
 class TestSeparatedClusterGap:

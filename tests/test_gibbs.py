@@ -15,24 +15,17 @@ from mixevidence.gibbs import (
     export_chain_csv,
     integrated_autocorr_time,
     permute_chain,
-    random_permutation_step,
+    permute_draws,
     run_gibbs,
     select_pivot,
 )
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
-from mixevidence.model import (
-    Allocation,
-    Dataset,
-    FixedPrior,
-    HierarchicalPrior,
-    MixtureParams,
-    log_likelihood,
-    log_prior,
-)
-from mixevidence.numerics import RngStream, enumerate_permutations
+from mixevidence.model import HierarchicalPrior, log_likelihood_batch
+from mixevidence.numerics import RngStream, permutation_matrix
 from mixevidence.oracle import log_marginal_group, posterior_moments_k1
+from mixevidence.relabel import relabel_chain
 
-from conftest import random_params
+from reference import log_likelihood, log_prior
 
 
 class TestConfig:
@@ -86,10 +79,10 @@ class TestRunGibbs:
 
     def test_random_permutation_uniform_occupancy(self, small_normal_data, fixed_prior):
         k = 2
-        chain = run_gibbs(
+        chain = permute_chain(run_gibbs(
             small_normal_data, fixed_prior, k,
-            GibbsConfig(iterations=4_000, burn_in=500, random_permutation=True, seed=4),
-        )
+            GibbsConfig(iterations=4_000, burn_in=500, seed=4),
+        ), RngStream(4))
         # forced symmetry: each label holds the smaller mean half the time
         frac = float(np.mean(np.argmin(chain.means, axis=1) == 0))
         se = math.sqrt(0.25 / len(chain)) * math.sqrt(integrated_autocorr_time(
@@ -170,45 +163,50 @@ class TestRunGibbs:
 
 
 class TestPermutationStep:
-    def test_identity_leaves_draw(self, small_normal_data):
-        params = random_params(2, 0)
-        alloc = Allocation(np.zeros(small_normal_data.n, dtype=int))
-        # scan a stream until the identity permutation is drawn
-        for attempt in range(50):
-            gen = RngStream(attempt).generator
-            probe = gen.integers(2)
-            if probe == 0:  # identity is row 0 of the k=2 matrix
-                out_p, out_a = random_permutation_step(
-                    (params, alloc), RngStream(attempt)
-                )
-                np.testing.assert_array_equal(out_p.means, params.means)
-                np.testing.assert_array_equal(out_a.labels, alloc.labels)
-                return
-        pytest.fail("no identity draw found in scan")
+    @pytest.fixture(scope="class")
+    def chain(self, small_normal_data, fixed_prior):
+        return run_gibbs(small_normal_data, fixed_prior, 3,
+                         GibbsConfig(iterations=300, burn_in=100, seed=13))
 
-    def test_log_likelihood_invariant(self, small_normal_data):
-        params = random_params(3, 1)
-        alloc = Allocation(np.zeros(small_normal_data.n, dtype=int))
-        before = log_likelihood(small_normal_data, params)
-        out_p, _ = random_permutation_step((params, alloc), RngStream(9))
-        assert log_likelihood(small_normal_data, out_p) == pytest.approx(before, abs=1e-12)
+    def test_identity_leaves_draw(self, chain):
+        same = permute_draws(chain, np.zeros(len(chain), dtype=int))  # row 0 is the identity
+        for name in ("weights", "means", "variances", "allocations"):
+            np.testing.assert_array_equal(getattr(same, name), getattr(chain, name))
+
+    def test_log_likelihood_invariant(self, small_normal_data, chain):
+        before = log_likelihood_batch(small_normal_data, chain.params_batch())
+        moved = permute_chain(chain, RngStream(9)).params_batch()
+        np.testing.assert_allclose(log_likelihood_batch(small_normal_data, moved), before,
+                                   rtol=0, atol=1e-12)
 
     def test_uniform_frequency(self):
-        k = 3
-        counts = np.zeros(math.factorial(k))
-        params = random_params(k, 2)
-        alloc = Allocation(np.array([0, 1, 2, 0]))
-        gen = RngStream(11).generator
-        perms = enumerate_permutations(k)
-        lookup = {p.mapping: i for i, p in enumerate(perms)}
-        trials = 30_000
-        for _ in range(trials):
-            out_p, _ = random_permutation_step((params, alloc), gen)
-            key = tuple(int(np.nonzero(out_p.means == m)[0][0]) for m in params.means)
-            counts[lookup[tuple(np.argsort(key))]] += 1
+        k, trials = 3, 30_000
+        base = np.arange(k, dtype=float)
+        chain = GibbsChain(k=k, weights=np.full((trials, k), 1 / k),
+                           means=np.tile(base, (trials, 1)), variances=np.ones((trials, k)),
+                           allocations=np.zeros((trials, 1), dtype=np.int16), betas=None)
+        # the means of a draw relabelled by a row are the row itself
+        applied = permute_chain(chain, RngStream(11)).means.astype(int)
+        lookup = {tuple(row): p for p, row in enumerate(permutation_matrix(k))}
+        counts = np.bincount([lookup[tuple(row)] for row in applied],
+                             minlength=math.factorial(k))
         expected = trials / math.factorial(k)
         se = math.sqrt(trials * (1 / 6) * (5 / 6))
         assert np.all(np.abs(counts - expected) < 4 * se)
+
+    def test_switch_flags_describe_own_draws(self, chain):
+        """Derived chains flag the switches of their own means, not their parent's."""
+        derived = {
+            "permuted": permute_chain(chain, RngStream(12)),
+            "relabelled": relabel_chain(permute_chain(chain, RngStream(12)), chain.draw(0)[0]),
+            "subset": chain.subset(np.arange(0, len(chain), 3)),
+        }
+        for name, out in derived.items():
+            low = np.argmin(out.means, axis=1)
+            np.testing.assert_array_equal(out.switch_flags[1:], low[1:] != low[:-1], err_msg=name)
+            assert not out.switch_flags[0]
+        # a uniform relabelling switches the smallest-mean label on about 2/3 of draws
+        assert derived["permuted"].switch_flags.mean() > 0.5
 
     def test_permute_chain_consistent(self, small_normal_data, fixed_prior):
         chain = run_gibbs(

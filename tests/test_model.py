@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mixevidence import model
 from mixevidence.model import (
     Allocation,
     ConditioningSet,
@@ -12,17 +13,14 @@ from mixevidence.model import (
     HierarchicalPrior,
     MixtureParams,
     ParamsBatch,
-    log_likelihood,
     log_likelihood_batch,
-    log_prior,
     log_prior_batch,
 )
 from mixevidence.numerics import (
-    Permutation,
     RngStream,
-    enumerate_permutations,
     inverse_gamma_logpdf,
     normal_logpdf,
+    permutation_matrix,
 )
 
 from conftest import random_params
@@ -33,7 +31,11 @@ from reference import (
     beta_prior,
     full_conditionals,
     log_block_density,
+    log_likelihood,
     log_pdf,
+    log_prior,
+    permute_labels,
+    permute_params,
     sample_block,
 )
 
@@ -63,12 +65,6 @@ class TestTypes:
             centered = stats.centered_sq(np.full(3, 0.7))
             np.testing.assert_allclose(centered[i], ((x[z == i] - 0.7) ** 2).sum())
 
-    def test_permuted_params(self):
-        p = MixtureParams([0.2, 0.8], [0.0, 3.0], [1.0, 2.0])
-        q = p.permuted(Permutation((1, 0)))
-        np.testing.assert_array_equal(q.means, [3.0, 0.0])
-        np.testing.assert_array_equal(q.weights, [0.8, 0.2])
-
 
 class TestLikelihood:
     def test_single_component_reduces_to_normal(self, small_normal_data):
@@ -79,8 +75,8 @@ class TestLikelihood:
     def test_permutation_symmetry(self, small_normal_data):
         params = random_params(3, 11)
         base = log_likelihood(small_normal_data, params)
-        for sigma in enumerate_permutations(3):
-            assert log_likelihood(small_normal_data, params.permuted(sigma)) == pytest.approx(
+        for row in permutation_matrix(3):
+            assert log_likelihood(small_normal_data, permute_params(params, row)) == pytest.approx(
                 base, abs=1e-12
             )
 
@@ -103,8 +99,8 @@ class TestPrior:
     def test_exchangeability_exact(self, fixed_prior):
         params = random_params(3, 7)
         base = log_prior(params, fixed_prior)
-        for sigma in enumerate_permutations(3):
-            assert log_prior(params.permuted(sigma), fixed_prior) == pytest.approx(
+        for row in permutation_matrix(3):
+            assert log_prior(permute_params(params, row), fixed_prior) == pytest.approx(
                 base, abs=1e-12
             )
 
@@ -256,10 +252,10 @@ class TestBlockDensity:
         given_params = random_params(k, rng)
         given_alloc = Allocation(rng.integers(0, k, small_normal_data.n))
         base = log_block_density(at, (given_params, given_alloc), small_normal_data, fixed_prior)
-        for sigma in enumerate_permutations(k):
+        for row in permutation_matrix(k):
             moved = log_block_density(
-                at.permuted(sigma),
-                (given_params.permuted(sigma), given_alloc.permuted(sigma)),
+                permute_params(at, row),
+                (permute_params(given_params, row), permute_labels(given_alloc, row)),
                 small_normal_data,
                 fixed_prior,
             )
@@ -289,7 +285,7 @@ class TestConditioningSetEngine:
     """The vectorized engine must agree with the scalar reference exactly."""
 
     @pytest.mark.parametrize("hierarchical", [False, True])
-    def test_pooled_density_matches_scalar(self, small_normal_data, hierarchical):
+    def test_pooled_density_matches_scalar(self, small_normal_data, hierarchical, monkeypatch):
         rng = np.random.default_rng(12)
         k, J, B = 3, 4, 6
         if hierarchical:
@@ -303,18 +299,22 @@ class TestConditioningSetEngine:
             )
             for _ in range(J)
         ]
-        cond = ConditioningSet.from_pairs(small_normal_data, prior, pairs)
+        cond = ConditioningSet.from_draws(
+            small_normal_data, prior, np.stack([p.means for p, _ in pairs]),
+            np.stack([a.labels for _, a in pairs]),
+            [p.beta for p, _ in pairs] if hierarchical else None,
+        )
         points = [random_params(k, rng, beta=hierarchical) for _ in range(B)]
         batch = ParamsBatch.from_params(points)
-        perms = enumerate_permutations(k)
-        rows = np.array([p.mapping for p in perms])
-        got = cond.log_pooled_density(batch, rows, chunk=2)
+        rows = permutation_matrix(k)
+        monkeypatch.setattr(model, "KERNEL_CHUNK", 2)  # B=6 spans three chunks
+        got = cond.log_pooled_density(batch, rows)
         for b, theta in enumerate(points):
-            for p, sigma in enumerate(perms):
+            for p, row in enumerate(rows):
                 per_j = [
                     log_block_density(
                         theta,
-                        (pair[0].permuted(sigma), pair[1].permuted(sigma)),
+                        (permute_params(pair[0], row), permute_labels(pair[1], row)),
                         small_normal_data,
                         prior,
                     )
@@ -333,7 +333,9 @@ class TestConditioningSetEngine:
             (random_params(k, rng), Allocation(rng.integers(0, k, small_normal_data.n)))
             for _ in range(J)
         ]
-        cond = ConditioningSet.from_pairs(small_normal_data, fixed_prior, pairs)
+        cond = ConditioningSet.from_draws(small_normal_data, fixed_prior,
+                                          np.stack([p.means for p, _ in pairs]),
+                                          np.stack([a.labels for _, a in pairs]))
         theta = random_params(k, rng)
         batch = ParamsBatch.from_params([theta])
         terms = cond.log_density_terms(batch, np.array([[0, 1]]))
@@ -344,11 +346,9 @@ class TestConditioningSetEngine:
     def test_evaluation_counter(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(14)
         k, J, B = 2, 5, 7
-        pairs = [
-            (random_params(k, rng), Allocation(rng.integers(0, k, small_normal_data.n)))
-            for _ in range(J)
-        ]
-        cond = ConditioningSet.from_pairs(small_normal_data, fixed_prior, pairs)
+        cond = ConditioningSet.from_draws(small_normal_data, fixed_prior,
+                                          rng.normal(0.0, 3.0, (J, k)),
+                                          rng.integers(0, k, (J, small_normal_data.n)))
         batch = ParamsBatch.from_params([random_params(k, rng) for _ in range(B)])
         cond.log_pooled_density(batch, np.array([[0, 1], [1, 0]]))
         assert cond.evaluations == B * 2 * J
@@ -356,11 +356,9 @@ class TestConditioningSetEngine:
     def test_sample_scatter_order(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(15)
         k, J = 2, 3
-        pairs = [
-            (random_params(k, rng), Allocation(rng.integers(0, k, small_normal_data.n)))
-            for _ in range(J)
-        ]
-        cond = ConditioningSet.from_pairs(small_normal_data, fixed_prior, pairs)
+        cond = ConditioningSet.from_draws(small_normal_data, fixed_prior,
+                                          rng.normal(0.0, 3.0, (J, k)),
+                                          rng.integers(0, k, (J, small_normal_data.n)))
         js = np.array([2, 0, 2, 1, 0])
         batch = cond.sample(js, RngStream(3))
         assert batch.size == 5

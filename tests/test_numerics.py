@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from mixevidence.gibbs import GibbsChain, permute_draws
 from mixevidence.numerics import (
-    Permutation,
     PermutationCapacityError,
     RngStream,
     as_generator,
-    enumerate_permutations,
-    log_mean_exp,
     log_sum_exp,
     permutation_matrix,
 )
@@ -54,66 +52,46 @@ class TestLogSumExp:
         rhs = log_sum_exp(xs) + c
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_log_mean_exp(self):
-        assert log_mean_exp(np.log([1.0, 3.0])) == pytest.approx(math.log(2.0))
-
 
 class TestPermutations:
     def test_k1(self):
-        perms = enumerate_permutations(1)
-        assert len(perms) == 1 and perms[0].is_identity()
+        np.testing.assert_array_equal(permutation_matrix(1), [[0]])
 
     def test_k3_count_distinct(self):
-        perms = enumerate_permutations(3)
-        assert len(perms) == 6
-        assert len({p.mapping for p in perms}) == 6
-        assert perms[0].is_identity()
+        mat = permutation_matrix(3)
+        assert len(mat) == 6
+        assert len({tuple(row) for row in mat}) == 6
+        np.testing.assert_array_equal(mat[0], [0, 1, 2])
 
     def test_k6_factorial(self):
-        assert len(enumerate_permutations(6)) == 720
+        assert len(permutation_matrix(6)) == 720
 
     def test_lexicographic_order(self):
-        perms = enumerate_permutations(3)
-        mappings = [p.mapping for p in perms]
-        assert mappings == sorted(mappings)
+        rows = [tuple(row) for row in permutation_matrix(3)]
+        assert rows == sorted(rows)
 
     def test_capacity_error_names_cost(self):
         with pytest.raises(PermutationCapacityError, match="362880"):
-            enumerate_permutations(9)
+            permutation_matrix(9)
 
     def test_invalid_mapping(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-
-    @given(st.integers(min_value=1, max_value=5), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_group_laws(self, k, data):
-        perms = enumerate_permutations(k)
-        a = data.draw(st.sampled_from(perms))
-        b = data.draw(st.sampled_from(perms))
-        c = data.draw(st.sampled_from(perms))
-        # associativity, exactly
-        assert a.compose(b).compose(c).mapping == a.compose(b.compose(c)).mapping
-        # inverse undoes, exactly
-        assert a.compose(a.inverse()).is_identity()
-        assert a.inverse().compose(a).is_identity()
-
-    def test_apply_matches_composition(self):
-        rng = np.random.default_rng(0)
-        arr = rng.normal(size=4)
-        a, b = Permutation((1, 0, 3, 2)), Permutation((2, 3, 1, 0))
-        via_compose = a.compose(b).apply_to_components(arr)
-        via_sequence = a.apply_to_components(b.apply_to_components(arr))
-        np.testing.assert_array_equal(via_compose, via_sequence)
+        # no row is an invalid mapping: each is a bijection of 0..k-1
+        for k in range(1, 6):
+            mat = permutation_matrix(k)
+            assert np.all(np.sort(mat, axis=1) == np.arange(k))
 
     def test_labels_and_components_consistent(self):
-        # relabelling observations must track the component gather
-        sigma = Permutation((2, 0, 1))
-        values = np.array([10.0, 20.0, 30.0])
-        labels = np.array([0, 1, 2, 2])
-        moved = sigma.apply_to_components(values)
-        relabelled = sigma.apply_to_labels(labels)
-        np.testing.assert_array_equal(moved[relabelled], values[labels])
+        # relabelling observations must track the component gather, for every row
+        k = 3
+        P = math.factorial(k)
+        values = np.tile([10.0, 20.0, 30.0], (P, 1))
+        labels = np.tile([0, 1, 2, 2], (P, 1)).astype(np.int16)
+        chain = GibbsChain(k=k, weights=np.full((P, k), 1 / k), means=values,
+                           variances=np.ones((P, k)), allocations=labels, betas=None)
+        moved = permute_draws(chain, np.arange(P))
+        np.testing.assert_array_equal(moved.means, values[0][permutation_matrix(k)])
+        np.testing.assert_array_equal(np.take_along_axis(moved.means, moved.allocations, 1),
+                                      np.take_along_axis(values, labels, 1))
 
     def test_matrix(self):
         mat = permutation_matrix(3)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs
+from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
 from mixevidence.model import Dataset, FixedPrior, MixtureParams
-from mixevidence.numerics import Permutation, RngStream, permutation_matrix
-from mixevidence.relabel import alignment, reference_from_pivot, relabel_chain
+from mixevidence.numerics import RngStream, permutation_matrix
+from mixevidence.relabel import alignment, relabel_chain
 
 from conftest import random_params
+from reference import log_likelihood, log_prior, permute_labels, permute_params
 
 
 def _chain_from_arrays(weights, means, variances, n_obs=10) -> GibbsChain:
@@ -18,7 +19,6 @@ def _chain_from_arrays(weights, means, variances, n_obs=10) -> GibbsChain:
         variances=variances,
         allocations=np.zeros((T, n_obs), dtype=np.int16),
         betas=None,
-        switch_flags=np.zeros(T, dtype=bool),
     )
 
 
@@ -51,7 +51,6 @@ class TestRelabelChain:
             variances=aligned_chain.variances[:, ::-1].copy(),
             allocations=(1 - aligned_chain.allocations).astype(np.int16),
             betas=None,
-            switch_flags=aligned_chain.switch_flags,
         )
         ref = _reference(aligned_chain)
         assert np.all(alignment(flipped, ref) == 1)  # the swap is row 1 for k=2
@@ -66,15 +65,11 @@ class TestRelabelChain:
         applied = alignment(mixed, ref)
         rel = relabel_chain(mixed, ref)
         for t in range(0, len(mixed), 7):
-            sigma = Permutation(tuple(rows[applied[t]]))
+            row = rows[applied[t]]
             params, alloc = mixed.draw(t)
             out_params, out_alloc = rel.draw(t)
-            np.testing.assert_array_equal(
-                sigma.apply_to_components(params.means), out_params.means
-            )
-            np.testing.assert_array_equal(
-                sigma.apply_to_labels(alloc.labels), out_alloc.labels
-            )
+            np.testing.assert_array_equal(permute_params(params, row).means, out_params.means)
+            np.testing.assert_array_equal(permute_labels(alloc, row).labels, out_alloc.labels)
 
     def test_idempotent(self, aligned_chain):
         mixed = permute_chain(aligned_chain, RngStream(2))
@@ -98,7 +93,6 @@ class TestRelabelChain:
             variances=mixed.variances[:, flip].copy(),
             allocations=np.argsort(flip)[mixed.allocations.astype(np.intp)].astype(np.int16),
             betas=None,
-            switch_flags=mixed.switch_flags,
         )
         again = relabel_chain(globally_flipped, ref)
         np.testing.assert_allclose(again.means, base.means, atol=1e-12)
@@ -115,12 +109,11 @@ class TestRelabelChain:
             np.concatenate([rng.normal(-4, 1, 30), rng.normal(4, 1, 30)]), "sep"
         )
         prior = FixedPrior(var_shape=2.0, var_scale=15.0)
-        chain = run_gibbs(
-            data, prior, 2,
-            GibbsConfig(iterations=4_000, burn_in=500, random_permutation=True, seed=4),
-        )
+        chain = permute_chain(run_gibbs(
+            data, prior, 2, GibbsConfig(iterations=4_000, burn_in=500, seed=4),
+        ), RngStream(4))
         assert chain.switch_flags.sum() > 100  # permutation moves force switching
-        ref = reference_from_pivot(chain, data, prior)
+        ref = select_pivot(chain, data, prior)[0]
         rel = relabel_chain(chain, ref)
         for i in range(2):
             assert rel.means[:, i].std() < 0.8 * chain.means[:, i].std()
@@ -131,18 +124,17 @@ class TestReference:
         one = aligned_chain.subset([0])
         data = Dataset(np.zeros(3) + 0.1)
         prior = FixedPrior()
-        ref = reference_from_pivot(one, data, prior)
+        ref = select_pivot(one, data, prior)[0]
         np.testing.assert_array_equal(ref.means, one.means[0])
 
     def test_reference_is_chain_map(self, small_normal_data, fixed_prior):
         from mixevidence.gibbs import chain_log_posterior
-        from mixevidence.model import log_likelihood, log_prior
 
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
             GibbsConfig(iterations=300, burn_in=100, seed=5),
         )
-        ref = reference_from_pivot(chain, small_normal_data, fixed_prior)
+        ref = select_pivot(chain, small_normal_data, fixed_prior)[0]
         best = log_prior(ref, fixed_prior) + log_likelihood(small_normal_data, ref)
         assert best == pytest.approx(
             chain_log_posterior(chain, small_normal_data, fixed_prior).max()
