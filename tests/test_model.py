@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mixevidence.model import (
     ParamsBatch,
     log_likelihood_batch,
     log_prior_batch,
+    variance_conditional,
 )
 from mixevidence.numerics import (
     RngStream,
@@ -281,13 +284,34 @@ class TestBlockDensity:
         assert np.isfinite(log_block_density(draw, given, small_normal_data, prior))
 
 
+# rows of permutation_matrix(3) the kernel tests evaluate: the identity alone
+# (3 component pairs), two rows (6 pairs) and all of S_3 (9 pairs)
+ROW_SETS = {"identity": [0], "pair": [0, 3], "all": list(range(6))}
+
+
+def chunk_budgets(cond, rows):
+    """KERNEL_BUDGET values whose point chunks hold 1 and 2 points."""
+    pairs = {(i, int(c)) for row in rows for i, c in enumerate(row)}
+    return [m * cond.J * len(pairs) for m in (1, 2)]
+
+
+def conditioning_set(data, prior, rng, k, J):
+    """A set of J random draws; under the hierarchical prior they carry betas."""
+    return ConditioningSet.from_draws(
+        data, prior, rng.normal(0.0, 3.0, (J, k)), rng.integers(0, k, (J, data.n)),
+        rng.gamma(2.0, 1.0, J) + 0.5 if prior.hierarchical else None,
+    )
+
+
 class TestConditioningSetEngine:
     """The vectorized engine must agree with the scalar reference exactly."""
 
     @pytest.mark.parametrize("hierarchical", [False, True])
-    def test_pooled_density_matches_scalar(self, small_normal_data, hierarchical, monkeypatch):
+    @pytest.mark.parametrize("rows", sorted(ROW_SETS))
+    def test_pooled_density_matches_scalar(self, small_normal_data, rows, hierarchical,
+                                           monkeypatch):
         rng = np.random.default_rng(12)
-        k, J, B = 3, 4, 6
+        k, J, B = 3, 4, 5  # B=5 is not a multiple of the 2-point chunks
         if hierarchical:
             prior = HierarchicalPrior.from_data(small_normal_data)
         else:
@@ -306,11 +330,10 @@ class TestConditioningSetEngine:
         )
         points = [random_params(k, rng, beta=hierarchical) for _ in range(B)]
         batch = ParamsBatch.from_params(points)
-        rows = permutation_matrix(k)
-        monkeypatch.setattr(model, "KERNEL_CHUNK", 2)  # B=6 spans three chunks
-        got = cond.log_pooled_density(batch, rows)
+        perms = permutation_matrix(k)[ROW_SETS[rows]]
+        expected = np.empty((B, len(perms)))
         for b, theta in enumerate(points):
-            for p, row in enumerate(rows):
+            for p, row in enumerate(perms):
                 per_j = [
                     log_block_density(
                         theta,
@@ -321,14 +344,17 @@ class TestConditioningSetEngine:
                     for pair in pairs
                 ]
                 shift = max(per_j)
-                expected = shift + math.log(
+                expected[b, p] = shift + math.log(
                     sum(math.exp(v - shift) for v in per_j) / J
                 )
-                assert got[b, p] == pytest.approx(expected, abs=1e-9)
+        for budget in chunk_budgets(cond, perms):
+            monkeypatch.setattr(model, "KERNEL_BUDGET", budget)
+            got = cond.log_pooled_density(batch, perms)
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
 
-    def test_terms_match_scalar(self, small_normal_data, fixed_prior):
+    def test_terms_match_scalar(self, small_normal_data, fixed_prior, monkeypatch):
         rng = np.random.default_rng(13)
-        k, J = 2, 3
+        k, J, B = 2, 3, 3  # B=3 is not a multiple of the 2-point chunks
         pairs = [
             (random_params(k, rng), Allocation(rng.integers(0, k, small_normal_data.n)))
             for _ in range(J)
@@ -336,12 +362,42 @@ class TestConditioningSetEngine:
         cond = ConditioningSet.from_draws(small_normal_data, fixed_prior,
                                           np.stack([p.means for p, _ in pairs]),
                                           np.stack([a.labels for _, a in pairs]))
-        theta = random_params(k, rng)
-        batch = ParamsBatch.from_params([theta])
-        terms = cond.log_density_terms(batch, np.array([[0, 1]]))
-        for j, pair in enumerate(pairs):
-            expected = log_block_density(theta, pair, small_normal_data, fixed_prior)
-            assert terms[0, 0, j] == pytest.approx(expected, abs=1e-10)
+        points = [random_params(k, rng) for _ in range(B)]
+        batch = ParamsBatch.from_params(points)
+        identity = np.array([[0, 1]])
+        for budget in chunk_budgets(cond, identity):
+            monkeypatch.setattr(model, "KERNEL_BUDGET", budget)
+            terms = cond.log_density_terms(batch, identity)
+            for b, theta in enumerate(points):
+                for j, pair in enumerate(pairs):
+                    expected = log_block_density(theta, pair, small_normal_data, fixed_prior)
+                    assert terms[b, 0, j] == pytest.approx(expected, abs=1e-10)
+
+    def test_from_draws_matches_per_draw_bincount(self, small_normal_data, fixed_prior,
+                                                  monkeypatch):
+        rng = np.random.default_rng(17)
+        k, J = 3, 7
+        x = small_normal_data.observations
+        means = rng.normal(0.0, 3.0, (J, k))
+        allocs = rng.integers(0, k, (J, small_normal_data.n))
+        allocs[2] = 1  # a draw with two empty components
+        monkeypatch.setattr(model, "STATS_CHUNK", 3)  # J=7 spans three blocks
+        cond = ConditioningSet.from_draws(small_normal_data, fixed_prior, means, allocs)
+        counts = np.array([np.bincount(z, minlength=k) for z in allocs], dtype=float)
+        sums = np.array([np.bincount(z, weights=x, minlength=k) for z in allocs])
+        sums_sq = np.array([np.bincount(z, weights=x * x, minlength=k) for z in allocs])
+        _, scale = variance_conditional(fixed_prior, counts, sums, sums_sq, means)
+        np.testing.assert_array_equal(cond.counts, counts)
+        np.testing.assert_array_equal(cond.sums, sums)
+        np.testing.assert_array_equal(cond.ig_scale, scale)
+        np.testing.assert_array_equal(cond.ig_power, cond.ig_shape + 1.0)
+
+    def test_from_draws_rejects_out_of_range_labels(self, small_normal_data, fixed_prior):
+        allocs = np.zeros((2, small_normal_data.n), dtype=int)
+        allocs[0, 5] = 2  # a label of a third component in a k=2 set
+        with pytest.raises(ValueError, match="labels"):
+            ConditioningSet.from_draws(small_normal_data, fixed_prior,
+                                       np.zeros((2, 2)), allocs)
 
     def test_evaluation_counter(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(14)
@@ -352,6 +408,99 @@ class TestConditioningSetEngine:
         batch = ParamsBatch.from_params([random_params(k, rng) for _ in range(B)])
         cond.log_pooled_density(batch, np.array([[0, 1], [1, 0]]))
         assert cond.evaluations == B * 2 * J
+
+    def test_rejects_malformed_permutations(self, small_normal_data, fixed_prior):
+        rng = np.random.default_rng(21)
+        cond = conditioning_set(small_normal_data, fixed_prior, rng, 2, 3)
+        batch = ParamsBatch.from_params([random_params(2, rng)])
+        # [0, 2] would read component pair (1, 0) in place of (0, 2)
+        for perms in ([[0, 2]], [[-1, 0]], [[0, 1, 2]]):
+            with pytest.raises(ValueError, match="perms"):
+                cond.log_pooled_density(batch, np.array(perms))
+        assert cond.evaluations == 0
+
+    @pytest.mark.parametrize("J, P", [(4000, 1), (100, 24)])
+    def test_pooled_density_memory_is_bounded(self, small_normal_data, fixed_prior, J, P):
+        # a bridge-shaped call (P=1, J=4000) and a symmetrized one (all of S_4);
+        # the temporaries are bounded by KERNEL_BUDGET, not by B x J x k
+        rng = np.random.default_rng(16)
+        k, B = 4, 2000
+        cond = conditioning_set(small_normal_data, fixed_prior, rng, k, J)
+        batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
+                            rng.gamma(3.0, 1.0, (B, k)) + 0.2)
+        tracemalloc.start()
+        try:
+            cond.log_pooled_density(batch, permutation_matrix(k)[:P])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("rows", ["identity", "all"])
+    def test_zero_weight_on_empty_component_is_finite(self, small_normal_data, hier_prior,
+                                                      fixed_prior, rows, hierarchical):
+        prior = hier_prior if hierarchical else fixed_prior
+        rng = np.random.default_rng(18)
+        k = 3
+        cond = ConditioningSet.from_draws(  # both draws leave component 0 empty
+            small_normal_data, prior, rng.normal(0.0, 3.0, (2, k)),
+            rng.integers(1, k, (2, small_normal_data.n)),
+            None if not hierarchical else [1.0, 2.0],
+        )
+        perms = permutation_matrix(k)[ROW_SETS[rows]]
+        means, variances = rng.normal(0.0, 3.0, (1, k)), rng.gamma(3.0, 1.0, (1, k))
+        betas = np.array([1.5]) if hierarchical else None
+        zero = ParamsBatch([[0.0, 0.5, 0.5]], means, variances, betas)
+        tiny = ParamsBatch([[1e-300, 0.5, 0.5]], means, variances, betas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cond.log_pooled_density(zero, perms)
+            near = cond.log_pooled_density(tiny, perms)
+        assert np.all(np.isfinite(got))
+        # where label 0 meets the empty component, log w_0 is multiplied by a zero count
+        keeps_zero = perms[:, 0] == 0
+        np.testing.assert_array_equal(got[:, keeps_zero], near[:, keeps_zero])
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("rows", ["identity", "all"])
+    def test_overflowing_precision_at_matching_mean_is_neg_inf(
+            self, small_normal_data, hier_prior, fixed_prior, rows, hierarchical):
+        prior = hier_prior if hierarchical else fixed_prior
+        rng = np.random.default_rng(19)
+        k = 3
+        cond = conditioning_set(small_normal_data, prior, rng, k, 1)
+        # 1/v overflows, so the precision is inf, and the mean sits exactly on
+        # the conditional mean s/n, so prec * (mu - mean)^2 is inf * 0
+        means = (cond.sums / cond.counts)[0][None, :]
+        variances = np.array([[5e-324, 1.0, 2.0]])
+        batch = ParamsBatch([[0.2, 0.3, 0.5]], means, variances,
+                            np.array([1.5]) if hierarchical else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cond.log_pooled_density(batch, permutation_matrix(k)[ROW_SETS[rows]])
+            terms = cond.log_density_terms(batch, permutation_matrix(k)[ROW_SETS[rows]])
+        assert np.all(np.isneginf(got))
+        assert np.all(np.isneginf(terms))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("rows", ["identity", "all"])
+    def test_subnormal_variance_raises_no_warning(self, small_normal_data, hier_prior,
+                                                  fixed_prior, rows, hierarchical):
+        prior = hier_prior if hierarchical else fixed_prior
+        rng = np.random.default_rng(20)
+        k = 3
+        cond = conditioning_set(small_normal_data, prior, rng, k, 3)
+        normal = ParamsBatch([[0.2, 0.3, 0.5]], [[-1.0, 0.0, 1.0]], [[1.0, 1.0, 2.0]],
+                             np.array([1.5]) if hierarchical else None)
+        subnormal = ParamsBatch([[0.2, 0.3, 0.5]], [[-1.0, 0.0, 1.0]], [[1e-310, 1.0, 2.0]],
+                                np.array([1.5]) if hierarchical else None)
+        perms = permutation_matrix(k)[ROW_SETS[rows]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(np.isfinite(cond.log_pooled_density(normal, perms)))
+            # a variance collapsed to zero has no conditional density
+            assert np.all(np.isneginf(cond.log_pooled_density(subnormal, perms)))
 
     def test_sample_scatter_order(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(15)
