@@ -133,16 +133,21 @@ class TestRunGibbs:
         co_chain = np.mean(Z[:, :, None] == Z[:, None, :], axis=0)
         assert np.abs(co_chain - co_exact).max() < 0.02
 
-    # CRC32 of each stored array, taken on x86-64 with numpy 2.4; a change of
-    # platform or numpy version may move them without a fault in the sweep.
+    # CRC32 of each stored array, and the fallback count, taken on x86-64 with
+    # numpy 2.4; a change of platform or numpy version may move them without a
+    # fault in the sweep.  These are the three benchmark configurations.
     CHAIN_CRC32 = {
+        ("d1", 2, "fixed:2,3"): {
+            "weights": 2957425850, "means": 1200808921, "variances": 1646409825,
+            "allocations": 1686113722, "allocation_fallbacks": 0,
+        },
         ("d2", 3, "fixed:2,15"): {
             "weights": 4238791746, "means": 41178791, "variances": 2150847436,
-            "allocations": 270726470,
+            "allocations": 270726470, "allocation_fallbacks": 0,
         },
         ("galaxy", 4, "rg"): {
             "weights": 721176265, "means": 1022272567, "variances": 3976557876,
-            "allocations": 1032478860, "betas": 1627510727,
+            "allocations": 1032478860, "betas": 1627510727, "allocation_fallbacks": 0,
         },
     }
 
@@ -159,6 +164,7 @@ class TestRunGibbs:
                   "betas": chain.betas}
         got = {name: zlib.crc32(np.ascontiguousarray(a).tobytes())
                for name, a in arrays.items() if a is not None}
+        got["allocation_fallbacks"] = chain.allocation_fallbacks
         assert got == self.CHAIN_CRC32[(dataset, k, prior)]
 
 
