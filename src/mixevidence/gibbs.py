@@ -7,6 +7,15 @@ blocks from the conditionals in `model` that `ConditioningSet` samples and
 evaluates, so one sweep from a stored draw is an exact sample from the
 block density the estimators use.
 
+The random stream is part of the contract, and the CRC32 pins in the
+tests freeze it.  Every sweep after the first draws, in this order:
+`gumbel` of shape (n, k) for the allocations (Gumbel-max), `dirichlet` for
+the weights, `standard_gamma` of the k variance shapes, `standard_normal`
+of size k for the means and, under the hierarchical prior, one `gamma` for
+the shared scale.  The first sweep starts from the quantile allocation and
+skips the `gumbel` draw.  A change of these calls, their order or their
+arithmetic changes every chain.
+
 Stored draws are relabelled only afterwards, by rows of
 `permutation_matrix(k)` (`permute_draws`): uniformly at random in
 `permute_chain`, or towards a reference in `relabel.relabel_chain`.
@@ -33,7 +42,7 @@ from .model import (
     mean_conditional,
     variance_conditional,
 )
-from .numerics import as_generator, normal_logpdf, permutation_matrix
+from .numerics import LOG_2PI, as_generator, permutation_matrix
 
 __all__ = [
     "GibbsConfig",
@@ -128,20 +137,33 @@ def _init_allocation(x: np.ndarray, k: int) -> np.ndarray:
     return z
 
 
-def _sample_allocation(x, weights, means, variances, gen):
-    """Gumbel-max categorical draws from the allocation conditionals."""
-    with np.errstate(divide="ignore"):
-        logits = np.log(weights)[None, :] + normal_logpdf(
-            x[:, None], means[None, :], variances[None, :]
-        )
-    bad = ~np.isfinite(np.max(logits, axis=1))
-    n_fallback = int(np.count_nonzero(bad))
-    if n_fallback:
-        nearest = np.argmin(np.abs(x[:, None] - means[None, :]), axis=1)
-        logits[bad] = -np.inf
-        logits[bad, nearest[bad]] = 0.0
-    z = np.argmax(logits + gen.gumbel(size=logits.shape), axis=1)
-    return z, n_fallback
+def _sample_allocation(xc, weights, means, variances, gen):
+    """Gumbel-max categorical draws from the allocation conditionals.
+
+    `xc` is the data as an (n, 1) column.  The logits are
+    log w + log N(x; mu, v), written from (k,) vectors with the operations
+    of `numerics.normal_logpdf` in its order, and built in place.  A row
+    with no finite logit falls back to a one-hot at the nearest mean.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        # a zero weight gives log 0 = -inf, and an overflowing (x - mu)^2 / v
+        # (a subnormal variance) is +inf: both are the limits of the density
+        logits = xc - means
+        np.multiply(logits, logits, out=logits)
+        np.divide(logits, variances, out=logits)
+        np.add(logits, LOG_2PI + np.log(variances), out=logits)
+        np.multiply(logits, -0.5, out=logits)
+        np.add(logits, np.log(weights), out=logits)
+    n_fallback = 0
+    if not np.isfinite(logits).all():
+        bad = ~np.isfinite(np.max(logits, axis=1))
+        n_fallback = int(np.count_nonzero(bad))
+        if n_fallback:
+            nearest = np.argmin(np.abs(xc - means), axis=1)
+            logits[bad] = -np.inf
+            logits[bad, nearest[bad]] = 0.0
+    logits += gen.gumbel(size=logits.shape)
+    return np.argmax(logits, axis=1), n_fallback
 
 
 def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
@@ -152,6 +174,8 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     gen = as_generator(rng if rng is not None else config.seed)
     x = data.observations
     n = x.size
+    xc = x[:, None]
+    x_sq = x * x
 
     z = _init_allocation(x, k)
     counts = np.bincount(z, minlength=k).astype(float)
@@ -172,17 +196,17 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     out = 0
     for sweep in range(config.iterations):
         if sweep > 0:
-            z, n_bad = _sample_allocation(x, weights, means, variances, gen)
+            z, n_bad = _sample_allocation(xc, weights, means, variances, gen)
             total_fallbacks += n_bad
             counts = np.bincount(z, minlength=k).astype(float)
             sums = np.bincount(z, weights=x, minlength=k)
-        sums_sq = np.bincount(z, weights=x * x, minlength=k)
+        sums_sq = np.bincount(z, weights=x_sq, minlength=k)
 
         weights = gen.dirichlet(1.0 + counts)
         shape, scale = variance_conditional(prior, counts, sums, sums_sq, means, beta)
-        variances = scale / gen.gamma(shape)
+        variances = scale / gen.standard_gamma(shape)
         cond_mean, cond_var = mean_conditional(prior, counts, sums, variances)
-        means = gen.normal(cond_mean, np.sqrt(cond_var))
+        means = cond_mean + np.sqrt(cond_var) * gen.standard_normal(k)
         if prior.hierarchical:
             shape, rate = beta_conditional(prior, variances)
             beta = float(gen.gamma(shape, 1.0 / rate))

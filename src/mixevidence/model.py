@@ -39,7 +39,7 @@ from .numerics import (
     dirichlet_logpdf,
     gamma_logpdf,
     inverse_gamma_logpdf,
-    log_sum_exp,
+    log_sum_exp_into,
     normal_logpdf,
 )
 
@@ -252,9 +252,9 @@ LIKELIHOOD_CHUNK = 512
 # J) buffers.  Point chunks are sized by this element count, not by a fixed
 # number of points, because J runs from 1 (plug-in proposal) to the whole
 # chain (Chib): a fixed 256 points made (256, J, k) temporaries of 33 MB at
-# J=4000.  2**16 elements (512 KB) keeps both buffers and a row's (points, J)
-# temporaries within a 2 MB per-core L2 cache.  A chunk holds at least one
-# point, so the buffers outgrow the budget only where J * pairs does.
+# J=4000.  2**16 elements (512 KB) keeps both buffers and the row buffers
+# within a 2 MB per-core L2 cache.  A chunk holds at least two points (see
+# `_chunk_edges`), so the buffers outgrow the budget where 2 * J * pairs does.
 KERNEL_BUDGET = 1 << 16
 
 # Draws per block of the offset-bincount in `ConditioningSet.from_draws`;
@@ -302,6 +302,21 @@ class ParamsBatch:
         )
 
 
+def _chunk_edges(size: int, step: int) -> list[int]:
+    """Edges of the point chunks of the block-density kernel.
+
+    A chunk holds at least two points and a lone tail point joins the chunk
+    before it, so every matrix product has two or more rows: numpy sends a
+    one-row product to BLAS's matrix-vector routine, which rounds
+    differently from the matrix-matrix one, and a point's density would
+    then depend on how the batch was chunked.
+    """
+    edges = list(range(0, size, max(2, step))) + [size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
+
+
 def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
     """Vectorized log p(x | theta) = sum_j log sum_i w_i N(x_j; mu_i, var_i) over
     a batch, LIKELIHOOD_CHUNK states at a time to bound memory."""
@@ -316,7 +331,8 @@ def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
             batch.means[lo:hi, :, None],
             batch.variances[lo:hi, :, None],
         )
-        out[lo:hi] = np.sum(log_sum_exp(comp, axis=1), axis=1)
+        with np.errstate(divide="ignore"):
+            out[lo:hi] = np.sum(log_sum_exp_into(comp, axis=1), axis=1)
     return out
 
 
@@ -436,7 +452,7 @@ class ConditioningSet:
         """
         log_J = math.log(self.J)
         return self._per_permutation(batch, perms, (),
-                                     lambda terms: log_sum_exp(terms, axis=1) - log_J)
+                                     lambda terms: log_sum_exp_into(terms, axis=1) - log_J)
 
     def log_density_terms(self, batch: ParamsBatch, perms: np.ndarray) -> np.ndarray:
         """(B, P, J) un-pooled log block densities (memory: B*P*J floats)."""
@@ -449,9 +465,9 @@ class ConditioningSet:
         The block density factorises over components: row p pairs batch
         component i with draw component perms[p, i].  For each chunk of
         points the normal-mean factor of every distinct (i, c) pair the rows
-        use is computed once, into (points, pairs, J) buffers of at most
-        KERNEL_BUDGET elements: k pairs for the identity alone, k**2 for all
-        of S_k.  Each row then sums its k pair slices in component order and
+        use is computed once, into (points, pairs, J) buffers of about
+        KERNEL_BUDGET elements (`_chunk_edges`): k pairs for the identity
+        alone, k**2 for all of S_k.  Each row then sums its k pair slices in component order and
         adds its weight and variance factors, which are matrix products with
         its relabelled draw statistics.
         """
@@ -473,14 +489,15 @@ class ConditioningSet:
         row_scale = self.ig_scale.T[perms]
         p0 = 1.0 / self.prior.mean_var
         pm0 = self.prior.mean_loc * p0
-        step = max(1, KERNEL_BUDGET // (J * codes.size))
-        normal_buf = np.empty((min(step, B), codes.size, J))
+        edges = _chunk_edges(B, KERNEL_BUDGET // (J * codes.size))
+        width = max(np.diff(edges), default=0)
+        normal_buf = np.empty((width, codes.size, J))
         sq_buf = np.empty_like(normal_buf)
-        row_buf = np.empty((3, min(step, B), J))
+        row_buf = np.empty((3, width, J))
         out = np.empty((B, P) + tail)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, B, step):
-                hi = min(lo + step, B)
+        # divide: an all -inf row reduces to log 0 = -inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo, hi in zip(edges[:-1], edges[1:]):
                 var = batch.variances[lo:hi, pair_i][:, :, None]     # (points, pairs, 1)
                 normal, sq = normal_buf[:hi - lo], sq_buf[:hi - lo]
                 # log(prec) - LOG_2PI - prec (mu - mean)^2 with the mean written

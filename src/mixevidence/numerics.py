@@ -32,15 +32,29 @@ def log_sum_exp(values, axis=None):
 
     Returns -inf iff every entry is -inf.  Empty input is a usage error.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float, ndmin=1)  # a copy, which the reduce overwrites
     if values.size == 0:
         raise ValueError("log_sum_exp of an empty collection")
-    shift = np.max(values, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(values - shift), axis=axis, keepdims=True)) + shift
-    if axis is None:
-        return float(out.reshape(()))
+        out = log_sum_exp_into(values, axis)
+    return float(out) if axis is None else out
+
+
+def log_sum_exp_into(values: np.ndarray, axis=None) -> np.ndarray:
+    """`log_sum_exp` of a float array of one or more dimensions, computed in
+    `values`, which it overwrites.
+
+    It takes no temporaries of the size of `values`, so hot loops reduce
+    in their own buffers.  Call it under `np.errstate(divide="ignore")`: a
+    slice that is all -inf takes log 0 = -inf.
+    """
+    shift = np.max(values, axis=axis, keepdims=True)
+    np.copyto(shift, 0.0, where=~np.isfinite(shift))
+    values -= shift
+    np.exp(values, out=values)
+    out = np.sum(values, axis=axis, keepdims=True)
+    np.log(out, out=out)
+    out += shift
     return np.squeeze(out, axis=axis)
 
 

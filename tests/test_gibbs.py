@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import gammaln
 from mixevidence.gibbs import (
     GibbsChain,
     GibbsConfig,
+    _sample_allocation,
     chain_log_posterior,
     chain_mean_stderr,
     export_chain_csv,
@@ -20,12 +22,12 @@ from mixevidence.gibbs import (
     select_pivot,
 )
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
-from mixevidence.model import HierarchicalPrior, log_likelihood_batch
+from mixevidence.model import HierarchicalPrior, MixtureParams, log_likelihood_batch
 from mixevidence.numerics import RngStream, permutation_matrix
 from mixevidence.oracle import log_marginal_group, posterior_moments_k1
 from mixevidence.relabel import relabel_chain
 
-from reference import log_likelihood, log_prior
+from reference import allocation_log_probs, log_likelihood, log_prior
 
 
 class TestConfig:
@@ -166,6 +168,38 @@ class TestRunGibbs:
                for name, a in arrays.items() if a is not None}
         got["allocation_fallbacks"] = chain.allocation_fallbacks
         assert got == self.CHAIN_CRC32[(dataset, k, prior)]
+
+
+class TestAllocationFallback:
+    """Degenerate states reach the nearest-mean fallback without a warning."""
+
+    # weights, variances, whether every row falls back
+    CASES = {
+        # every (x - mu)^2 / v overflows: no row has a finite logit
+        "subnormal_variances": ([0.5, 0.5], [1e-320, 1e-320], True),
+        # log w_0 = -inf and component 1 overflows: no row has a finite logit
+        "zero_weight": ([0.0, 1.0], [1.0, 1e-320], True),
+        # one component ruled out in every row, the other finite
+        "one_subnormal_variance": ([0.5, 0.5], [1e-320, 1.0], False),
+        "one_zero_weight": ([0.0, 1.0], [1.0, 1.0], False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, small_normal_data, case):
+        weights, variances, falls_back = self.CASES[case]
+        params = MixtureParams(weights, [-0.25, 0.5], variances)
+        x = small_normal_data.observations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z, n_fallback = _sample_allocation(x[:, None], params.weights, params.means,
+                                               params.variances, np.random.default_rng(0))
+        # the reference's normal_logpdf overflows to the same limit, with a warning
+        with np.errstate(over="ignore"):
+            log_probs, expected_fallbacks = allocation_log_probs(small_normal_data, params)
+        assert n_fallback == expected_fallbacks == (x.size if falls_back else 0)
+        # each row has one label of probability 1, which the draw must take
+        np.testing.assert_array_equal(np.isfinite(log_probs).sum(axis=1), 1)
+        np.testing.assert_array_equal(z, np.argmax(log_probs, axis=1))
 
 
 class TestPermutationStep:

@@ -290,9 +290,10 @@ ROW_SETS = {"identity": [0], "pair": [0, 3], "all": list(range(6))}
 
 
 def chunk_budgets(cond, rows):
-    """KERNEL_BUDGET values whose point chunks hold 1 and 2 points."""
+    """KERNEL_BUDGET values whose point chunks hold 2 and 3 points (fewer
+    than 2 is rounded up to 2)."""
     pairs = {(i, int(c)) for row in rows for i, c in enumerate(row)}
-    return [m * cond.J * len(pairs) for m in (1, 2)]
+    return [m * cond.J * len(pairs) for m in (2, 3)]
 
 
 def conditioning_set(data, prior, rng, k, J):
@@ -311,7 +312,7 @@ class TestConditioningSetEngine:
     def test_pooled_density_matches_scalar(self, small_normal_data, rows, hierarchical,
                                            monkeypatch):
         rng = np.random.default_rng(12)
-        k, J, B = 3, 4, 5  # B=5 is not a multiple of the 2-point chunks
+        k, J, B = 3, 4, 5  # B=5 is not a multiple of the 2- or 3-point chunks
         if hierarchical:
             prior = HierarchicalPrior.from_data(small_normal_data)
         else:
@@ -352,9 +353,35 @@ class TestConditioningSetEngine:
             got = cond.log_pooled_density(batch, perms)
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_point_density_does_not_depend_on_chunking(self, small_normal_data, hier_prior,
+                                                       fixed_prior, hierarchical, monkeypatch):
+        """Every chunk holds at least two points, so no product goes to BLAS's
+        matrix-vector path and a point's log density has the same bits in any
+        batch of two or more points, however the batch is chunked."""
+        prior = hier_prior if hierarchical else fixed_prior
+        rng = np.random.default_rng(22)
+        k, J, N = 3, 7, 9
+        cond = conditioning_set(small_normal_data, prior, rng, k, J)
+        batch = ParamsBatch(rng.dirichlet(np.ones(k), N), rng.normal(0.0, 3.0, (N, k)),
+                            rng.gamma(3.0, 1.0, (N, k)) + 0.2,
+                            rng.gamma(2.0, 1.0, N) + 0.5 if hierarchical else None)
+        perms = permutation_matrix(k)[ROW_SETS["pair"]]
+        expected = cond.log_pooled_density(batch, perms)  # one chunk of all N points
+        for points in (1, 2, 3, 4):
+            monkeypatch.setattr(model, "KERNEL_BUDGET", points * J * 6)  # 6 pairs
+            for B in range(2, N + 1):
+                for lo in (0, N - B):
+                    part = ParamsBatch(batch.weights[lo:lo + B], batch.means[lo:lo + B],
+                                       batch.variances[lo:lo + B],
+                                       None if batch.betas is None else batch.betas[lo:lo + B])
+                    np.testing.assert_array_equal(cond.log_pooled_density(part, perms),
+                                                  expected[lo:lo + B],
+                                                  err_msg=f"{points}-point chunks, B={B}")
+
     def test_terms_match_scalar(self, small_normal_data, fixed_prior, monkeypatch):
         rng = np.random.default_rng(13)
-        k, J, B = 2, 3, 3  # B=3 is not a multiple of the 2-point chunks
+        k, J, B = 2, 3, 5  # B=5 is not a multiple of the 2- or 3-point chunks
         pairs = [
             (random_params(k, rng), Allocation(rng.integers(0, k, small_normal_data.n)))
             for _ in range(J)
