@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model
 from .datasets import BUILTIN_NAMES, builtin_dataset, load_dataset
 from .estimators import (
     DEFAULT_TAU,
@@ -246,13 +247,21 @@ class RunRecord:
             return cls.from_dict(json.load(fh))
 
 
+def _set_kernel_threads(threads: int) -> None:
+    """Initializer of `run_experiment`'s worker processes."""
+    model.KERNEL_THREADS = threads
+
+
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """The full protocol: replicated chains, estimators, summaries, outputs."""
     data = resolve_dataset(config)
     prior = parse_prior(config.prior, data)
     replicate = partial(run_replicate, config, data, prior)
     if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        # the worker processes share the CPUs, so each kernel gets its share
+        kernel_threads = max(1, model.KERNEL_THREADS // config.threads)
+        with ProcessPoolExecutor(max_workers=config.threads, initializer=_set_kernel_threads,
+                                 initargs=(kernel_threads,)) as pool:
             per_rep = list(pool.map(replicate, range(config.replicates)))
     else:
         per_rep = list(map(replicate, range(config.replicates)))

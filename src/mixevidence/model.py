@@ -23,11 +23,26 @@ evaluation kernel therefore computes the costly normal-mean factor once per
 identity, k**2 for all of S_k instead of k * k!), and walks the points in
 chunks sized by an element budget (`KERNEL_BUDGET`) so that its buffers
 stay in cache whatever the number of draws.
+
+The point chunks of one kernel call are shared between `KERNEL_THREADS`
+threads, the calling thread among them; they pull chunks from one shared
+iterator and each writes only its own chunk's rows of the output, so the
+result does not depend on the thread count.  Each chunk runs every step once
+for all its permutation rows, so that each numpy call is large enough to
+run without the interpreter lock most of the time.  The calling thread
+allocates every buffer, because a worker that allocates its own gets a
+second malloc arena and raises the peak resident memory.  Threads are
+started per call and joined before it returns: a pool kept in module state
+would be inherited by a forked process without its threads, and the
+replicate process pool of `harness.run_experiment` forks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,14 +263,25 @@ def beta_conditional(prior: HierarchicalPrior, variances):
 # temporaries.
 LIKELIHOOD_CHUNK = 512
 
-# Float64 elements in each of the block-density kernel's two (points, pairs,
-# J) buffers.  Point chunks are sized by this element count, not by a fixed
-# number of points, because J runs from 1 (plug-in proposal) to the whole
-# chain (Chib): a fixed 256 points made (256, J, k) temporaries of 33 MB at
-# J=4000.  2**16 elements (512 KB) keeps both buffers and the row buffers
-# within a 2 MB per-core L2 cache.  A chunk holds at least two points (see
-# `_chunk_edges`), so the buffers outgrow the budget where 2 * J * pairs does.
+# Float64 elements in each of the block-density kernel's (pairs, points, J)
+# and (rows, points, J) buffers.  Point chunks are sized by this element
+# count, not by a fixed number of points, because J runs from 1 (plug-in
+# proposal) to the whole chain (Chib): a fixed 256 points made (256, J, k)
+# temporaries of 33 MB at J=4000.  2**16 elements (512 KB) keeps a thread's
+# two pair buffers within a 2 MB per-core L2 cache.  A chunk holds at least
+# two points (see `_chunk_edges`), so the pair buffers outgrow the budget
+# where 2 * J * pairs does; the rows of a chunk go in blocks that fit the
+# budget, one row at least, so the row buffers grow with J alone.  Chunks
+# and blocks are sized as if J were at least 8: the thread that runs a chunk
+# allocates its (pairs, points) gathers and the (rows, points) arrays of the
+# reduce, and at J=1 these would be as large as the buffers.
 KERNEL_BUDGET = 1 << 16
+
+# Threads that share the point chunks of one block-density call, the calling
+# thread included: the CPUs this process may run on.  `harness.run_experiment`
+# divides them between its replicate processes.
+KERNEL_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
 
 # Draws per block of the offset-bincount in `ConditioningSet.from_draws`;
 # with n observations its temporaries hold about 2 n KB each.  Blocks of 256
@@ -315,6 +341,20 @@ def _chunk_edges(size: int, step: int) -> list[int]:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     return edges
+
+
+def _run_in_threads(work, buffers: list) -> None:
+    """Call `work(*buffers[t])` in one thread per entry of `buffers`, the
+    calling thread running the first, and raise here the first exception
+    any of them raised, once all have returned."""
+    if len(buffers) == 1:
+        work(*buffers[0])
+        return
+    with ThreadPoolExecutor(len(buffers) - 1) as pool:
+        futures = [pool.submit(work, *bufs) for bufs in buffers[1:]]
+        work(*buffers[0])
+    for future in futures:
+        future.result()
 
 
 def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
@@ -452,24 +492,32 @@ class ConditioningSet:
         """
         log_J = math.log(self.J)
         return self._per_permutation(batch, perms, (),
-                                     lambda terms: log_sum_exp_into(terms, axis=1) - log_J)
+                                     lambda terms: log_sum_exp_into(terms, axis=-1) - log_J)
 
     def log_density_terms(self, batch: ParamsBatch, perms: np.ndarray) -> np.ndarray:
         """(B, P, J) un-pooled log block densities (memory: B*P*J floats)."""
         return self._per_permutation(batch, perms, (self.J,), lambda terms: terms)
 
     def _per_permutation(self, batch, perms, tail, reduce):
-        """(B, P, *tail) array: `reduce` of each (points, J) block of log
-        densities without the beta factor, plus the beta factor.
+        """(B, P, *tail) array: `reduce` of each (rows, points, J) block of
+        log densities without the beta factor, plus the beta factor.
 
         The block density factorises over components: row p pairs batch
         component i with draw component perms[p, i].  For each chunk of
         points the normal-mean factor of every distinct (i, c) pair the rows
-        use is computed once, into (points, pairs, J) buffers of about
+        use is computed once, into (pairs, points, J) buffers of about
         KERNEL_BUDGET elements (`_chunk_edges`): k pairs for the identity
-        alone, k**2 for all of S_k.  Each row then sums its k pair slices in component order and
-        adds its weight and variance factors, which are matrix products with
-        its relabelled draw statistics.
+        alone, k**2 for all of S_k.  The rows then go in blocks of up to
+        KERNEL_BUDGET / (points J) rows, each step once per block: the weight
+        and variance factors are stacked matrix products with the rows'
+        relabelled draw statistics, and the k pair slices are gathered and
+        summed in component order.
+
+        The chunks are shared between `KERNEL_THREADS` threads (fewer if there
+        are fewer chunks; one chunk runs in the calling thread alone).  The
+        calling thread allocates every buffer, one set per thread, and a chunk
+        writes only its own points of the output, so every bit of the result
+        is the same for any thread count.
         """
         perms = np.atleast_2d(np.asarray(perms, dtype=np.intp))
         B, P, J, k = batch.size, perms.shape[0], self.J, self.k
@@ -479,9 +527,10 @@ class ConditioningSet:
         # pair (i, c) has code k i + c; cols[p, i] is the buffer slot of (i, perms[p, i])
         codes, cols = np.unique(k * np.arange(k) + perms, return_inverse=True)
         cols = cols.reshape(P, k)
+        pairs = codes.size
         pair_i, pair_c = np.divmod(codes, k)
-        n_pair = self.counts.T[pair_c]                   # (pairs, J)
-        s_pair = self.sums.T[pair_c]
+        n_pair = self.counts.T[pair_c][:, None, :]       # (pairs, 1, J)
+        s_pair = self.sums.T[pair_c][:, None, :]
         # each row's relabelled draw statistics, (P, k, J); with the output
         # these are the only arrays that grow with P
         row_counts = self.counts.T[perms]
@@ -489,50 +538,73 @@ class ConditioningSet:
         row_scale = self.ig_scale.T[perms]
         p0 = 1.0 / self.prior.mean_var
         pm0 = self.prior.mean_loc * p0
-        edges = _chunk_edges(B, KERNEL_BUDGET // (J * codes.size))
-        width = max(np.diff(edges), default=0)
-        normal_buf = np.empty((width, codes.size, J))
-        sq_buf = np.empty_like(normal_buf)
-        row_buf = np.empty((3, width, J))
+        span = max(J, 8)
+        edges = _chunk_edges(B, KERNEL_BUDGET // (span * max(pairs, P)))
+        width = max(max(np.diff(edges), default=0), 1)
+        block = min(P, max(1, KERNEL_BUDGET // (width * span)))
         out = np.empty((B, P) + tail)
-        # divide: an all -inf row reduces to log 0 = -inf
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                var = batch.variances[lo:hi, pair_i][:, :, None]     # (points, pairs, 1)
-                normal, sq = normal_buf[:hi - lo], sq_buf[:hi - lo]
-                # log(prec) - LOG_2PI - prec (mu - mean)^2 with the mean written
-                # (pm0 v + s) / (p0 v + n), stable at extreme variances; `normal`
-                # holds that denominator until the precision replaces it
-                np.add(p0 * var, n_pair, out=normal)
-                np.add(pm0 * var, s_pair, out=sq)
-                np.divide(sq, normal, out=sq)
-                np.subtract(batch.means[lo:hi, pair_i][:, :, None], sq, out=sq)
-                np.square(sq, out=sq)
-                np.divide(n_pair, var, out=normal)
-                np.add(normal, p0, out=normal)
-                np.multiply(normal, sq, out=sq)
-                np.log(normal, out=normal)
-                np.subtract(normal, LOG_2PI, out=normal)
-                np.subtract(normal, sq, out=normal)
-                total, part, other = row_buf[:, :hi - lo]
-                for p in range(P):
-                    np.matmul(logw[lo:hi], row_counts[p], out=part)
-                    np.add(self.ig_const, part, out=total)
-                    np.matmul(logv[lo:hi], row_power[p], out=part)
-                    np.negative(part, out=part)
-                    np.matmul(inv_v[lo:hi], row_scale[p], out=other)
-                    np.subtract(part, other, out=part)
-                    np.add(total, part, out=total)
-                    # component order: np.sum's order over fewer than 8 terms
-                    np.copyto(part, normal[:, cols[p, 0]])
-                    for i in range(1, k):
-                        np.add(part, normal[:, cols[p, i]], out=part)
-                    np.multiply(part, 0.5, out=part)
-                    np.add(total, part, out=total)
-                    # an overflowing precision with an exactly-matching mean yields
-                    # inf - inf; the correct limit of the log-density there is -inf
-                    np.copyto(total, -np.inf, where=np.isnan(total))
-                    out[lo:hi, p] = reduce(total)
+        chunks = iter(zip(edges[:-1], edges[1:]))
+        lock = threading.Lock()
+
+        def next_chunk():
+            with lock:
+                return next(chunks, None)
+
+        def run_chunks(pair_buf, row_buf, nan_buf):
+            # error state is per thread; divide: an all -inf row reduces to log 0 = -inf
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                while (chunk := next_chunk()) is not None:
+                    lo, hi = chunk
+                    m = hi - lo
+                    # contiguous views, so that every chunk takes numpy's same loops
+                    normal, sq = pair_buf[:, :pairs * m * J].reshape(2, pairs, m, J)
+                    var = batch.variances[lo:hi, pair_i].T[:, :, None]     # (pairs, points, 1)
+                    # log(prec) - LOG_2PI - prec (mu - mean)^2 with the mean written
+                    # (pm0 v + s) / (p0 v + n), stable at extreme variances; `normal`
+                    # holds that denominator until the precision replaces it
+                    np.add(p0 * var, n_pair, out=normal)
+                    np.add(pm0 * var, s_pair, out=sq)
+                    np.divide(sq, normal, out=sq)
+                    np.subtract(batch.means[lo:hi, pair_i].T[:, :, None], sq, out=sq)
+                    np.square(sq, out=sq)
+                    np.divide(n_pair, var, out=normal)
+                    np.add(normal, p0, out=normal)
+                    np.multiply(normal, sq, out=sq)
+                    np.log(normal, out=normal)
+                    np.subtract(normal, LOG_2PI, out=normal)
+                    np.subtract(normal, sq, out=normal)
+                    for r0 in range(0, P, block):
+                        r1 = min(r0 + block, P)
+                        size = (r1 - r0) * m * J
+                        total, part, other = row_buf[:, :size].reshape(3, r1 - r0, m, J)
+                        is_nan = nan_buf[:size].reshape(r1 - r0, m, J)
+                        np.matmul(logw[lo:hi], row_counts[r0:r1], out=part)
+                        np.add(self.ig_const, part, out=total)
+                        np.matmul(logv[lo:hi], row_power[r0:r1], out=part)
+                        np.negative(part, out=part)
+                        np.matmul(inv_v[lo:hi], row_scale[r0:r1], out=other)
+                        np.subtract(part, other, out=part)
+                        np.add(total, part, out=total)
+                        # component order: np.sum's order over fewer than 8 terms;
+                        # mode="raise" would gather into a temporary, then copy
+                        np.take(normal, cols[r0:r1, 0], axis=0, out=part, mode="clip")
+                        for i in range(1, k):
+                            np.take(normal, cols[r0:r1, i], axis=0, out=other, mode="clip")
+                            np.add(part, other, out=part)
+                        np.multiply(part, 0.5, out=part)
+                        np.add(total, part, out=total)
+                        # an overflowing precision with an exactly-matching mean yields
+                        # inf - inf; the correct limit of the log-density there is -inf
+                        np.isnan(total, out=is_nan)
+                        np.copyto(total, -np.inf, where=is_nan)
+                        out[lo:hi, r0:r1] = np.swapaxes(reduce(total), 0, 1)
+
+        threads = max(1, min(KERNEL_THREADS, len(edges) - 1))
+        _run_in_threads(run_chunks, [
+            (np.empty((2, pairs * width * J)), np.empty((3, block * width * J)),
+             np.empty(block * width * J, dtype=bool))
+            for _ in range(threads)
+        ])
         self.evaluations += B * P * J
         out += beta_term.reshape((B,) + (1,) * (out.ndim - 1))
         return out

@@ -82,13 +82,17 @@ def permutation_matrix(k: int) -> np.ndarray:
 
 def normal_logpdf(x, mean, var):
     x, mean, var = np.broadcast_arrays(np.asarray(x, float), mean, var)
-    return -0.5 * (LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
+    # a subnormal variance overflows (x - mean)^2 / var to inf where x != mean,
+    # and the density's limit there is 0
+    with np.errstate(over="ignore"):
+        return -0.5 * (LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
 def inverse_gamma_logpdf(x, shape, scale):
     """IG(shape a, scale s): s^a/Gamma(a) x^(-a-1) exp(-s/x); 0 outside x>0."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # over: s / x of a subnormal x is inf, the density's limit there is 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = (
             shape * np.log(scale)
             - gammaln(shape)

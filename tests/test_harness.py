@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 import pytest
 
+from mixevidence import model
 from mixevidence.harness import (
     KNOWN_ESTIMATORS,
     ExperimentConfig,
@@ -130,6 +135,28 @@ class TestRunExperiment:
             assert a["method"] == b["method"] and a["replicate"] == b["replicate"]
             if not a["error"]:
                 assert a["log_evidence"] == b["log_evidence"]
+
+    def test_worker_processes_fork_after_threaded_kernel(self, monkeypatch):
+        """Replicate processes forked after this process ran the kernel in
+        threads finish, with the serial rows; a hang fails the test."""
+        config = _tiny_config(k=2)
+        monkeypatch.setattr(model, "KERNEL_BUDGET", 2 * config.J * 4)  # 2-point chunks
+        monkeypatch.setattr(model, "KERNEL_THREADS", 4)  # 2 in each of 2 processes
+        serial = run_experiment(config)  # its kernel calls run in 4 threads here
+        with ThreadPoolExecutor(1) as runner:
+            future = runner.submit(run_experiment, dataclasses.replace(config, threads=2))
+            try:
+                pooled = future.result(timeout=120)
+            except FuturesTimeoutError:
+                for child in multiprocessing.active_children():
+                    child.kill()  # the pool breaks and run_experiment returns
+                raise
+        assert len(pooled.rows) == len(serial.rows) == 2 * 3
+        for a, b in zip(serial.rows, pooled.rows):
+            assert not a["error"]
+            a, b = dict(a), dict(b)
+            del a["elapsed_seconds"], b["elapsed_seconds"]
+            assert a == b
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -96,6 +97,24 @@ class TestLikelihood:
         got = log_likelihood_batch(small_normal_data, batch)
         for b, p in enumerate(params):
             assert got[b] == pytest.approx(log_likelihood(small_normal_data, p))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_subnormal_variance_takes_the_limit(self, small_normal_data, hier_prior,
+                                                fixed_prior, hierarchical):
+        prior = hier_prior if hierarchical else fixed_prior
+        x = small_normal_data.observations
+        batch = ParamsBatch([[0.5, 0.5]], [[-0.25, 0.5]], [[1e-320, 1.0]],
+                            [1.5] if hierarchical else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loglik = log_likelihood_batch(small_normal_data, batch)
+            logprior = log_prior_batch(batch, prior)
+        # the collapsed component has density 0 at every observation off its mean,
+        # and the variance prior has density 0 at a variance of 0
+        assert not np.any(x == -0.25)
+        np.testing.assert_allclose(loglik, np.sum(math.log(0.5) + normal_logpdf(x, 0.5, 1.0)),
+                                   rtol=1e-12)
+        assert np.isneginf(logprior[0])
 
 
 class TestPrior:
@@ -290,10 +309,12 @@ ROW_SETS = {"identity": [0], "pair": [0, 3], "all": list(range(6))}
 
 
 def chunk_budgets(cond, rows):
-    """KERNEL_BUDGET values whose point chunks hold 2 and 3 points (fewer
-    than 2 is rounded up to 2)."""
+    """KERNEL_BUDGET values whose point chunks hold 2 and 3 points with all
+    their rows at once, and 2 points (fewer is rounded up to 2) with at most
+    two rows at once; the kernel sizes chunks as if J were at least 8."""
     pairs = {(i, int(c)) for row in rows for i, c in enumerate(row)}
-    return [m * cond.J * len(pairs) for m in (2, 3)]
+    span = max(cond.J, 8)
+    return [m * span * max(len(pairs), len(rows)) for m in (2, 3)] + [4 * span]
 
 
 def conditioning_set(data, prior, rng, k, J):
@@ -446,12 +467,15 @@ class TestConditioningSetEngine:
                 cond.log_pooled_density(batch, np.array(perms))
         assert cond.evaluations == 0
 
-    @pytest.mark.parametrize("J, P", [(4000, 1), (100, 24)])
-    def test_pooled_density_memory_is_bounded(self, small_normal_data, fixed_prior, J, P):
-        # a bridge-shaped call (P=1, J=4000) and a symmetrized one (all of S_4);
-        # the temporaries are bounded by KERNEL_BUDGET, not by B x J x k
+    @pytest.mark.parametrize("k, J, P", [pytest.param(4, 4000, 1, id="4000-1"),
+                                         pytest.param(4, 100, 24, id="100-24"),
+                                         pytest.param(5, 100, 120, id="5-100-120")])
+    def test_pooled_density_memory_is_bounded(self, small_normal_data, fixed_prior, k, J, P):
+        # a bridge-shaped call (P=1, J=4000), a symmetrized one (all of S_4) and
+        # one with more rows than pairs (120 rows of S_5); the temporaries are
+        # bounded by KERNEL_BUDGET per thread, not by B x J x k or P x J
         rng = np.random.default_rng(16)
-        k, B = 4, 2000
+        B = 2000
         cond = conditioning_set(small_normal_data, fixed_prior, rng, k, J)
         batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
                             rng.gamma(3.0, 1.0, (B, k)) + 0.2)
@@ -528,6 +552,104 @@ class TestConditioningSetEngine:
             assert np.all(np.isfinite(cond.log_pooled_density(normal, perms)))
             # a variance collapsed to zero has no conditional density
             assert np.all(np.isneginf(cond.log_pooled_density(subnormal, perms)))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("rows", sorted(ROW_SETS))
+    def test_results_do_not_depend_on_thread_count(self, small_normal_data, hier_prior,
+                                                   fixed_prior, rows, hierarchical, monkeypatch):
+        prior = hier_prior if hierarchical else fixed_prior
+        rng = np.random.default_rng(24)
+        k, J, B = 3, 5, 11  # 2- and 3-point chunks leave a 3-point tail
+        cond = conditioning_set(small_normal_data, prior, rng, k, J)
+        batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
+                            rng.gamma(3.0, 1.0, (B, k)) + 0.2,
+                            rng.gamma(2.0, 1.0, B) + 0.5 if hierarchical else None)
+        perms = permutation_matrix(k)[ROW_SETS[rows]]
+        for budget in chunk_budgets(cond, perms):
+            monkeypatch.setattr(model, "KERNEL_BUDGET", budget)
+            monkeypatch.setattr(model, "KERNEL_THREADS", 1)
+            pooled = cond.log_pooled_density(batch, perms)
+            terms = cond.log_density_terms(batch, perms)
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(model, "KERNEL_THREADS", threads)
+                np.testing.assert_array_equal(cond.log_pooled_density(batch, perms), pooled,
+                                              err_msg=f"{threads} threads, budget {budget}")
+                np.testing.assert_array_equal(cond.log_density_terms(batch, perms), terms,
+                                              err_msg=f"{threads} threads, budget {budget}")
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_degenerate_states_in_threads(self, small_normal_data, hier_prior, fixed_prior,
+                                          hierarchical, monkeypatch):
+        """The three degenerate states above, each repeated over a batch whose
+        2-point chunks three threads share: every thread takes the same limit
+        without a warning (numpy's error state is per thread)."""
+        prior = hier_prior if hierarchical else fixed_prior
+        rng = np.random.default_rng(25)
+        k, copies = 3, 12
+        perms = permutation_matrix(k)
+
+        def repeated(weights, means, variances):
+            return ParamsBatch(np.tile(weights, (copies, 1)), np.tile(means, (copies, 1)),
+                               np.tile(variances, (copies, 1)),
+                               np.full(copies, 1.5) if hierarchical else None)
+
+        empty = ConditioningSet.from_draws(  # both draws leave component 0 empty
+            small_normal_data, prior, rng.normal(0.0, 3.0, (2, k)),
+            rng.integers(1, k, (2, small_normal_data.n)),
+            None if not hierarchical else [1.0, 2.0],
+        )
+        exact = conditioning_set(small_normal_data, prior, rng, k, 1)
+        other = conditioning_set(small_normal_data, prior, rng, k, 3)
+        cases = {
+            "zero_weight": (empty, repeated([0.0, 0.5, 0.5], rng.normal(0.0, 3.0, k),
+                                            rng.gamma(3.0, 1.0, k))),
+            "overflowing_precision": (exact, repeated([0.2, 0.3, 0.5], exact.sums[0] / exact.counts[0],
+                                                      [5e-324, 1.0, 2.0])),
+            "subnormal_variance": (other, repeated([0.2, 0.3, 0.5], [-1.0, 0.0, 1.0],
+                                                   [1e-310, 1.0, 2.0])),
+        }
+        monkeypatch.setattr(model, "KERNEL_THREADS", 3)
+        got = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for name, (cond, batch) in cases.items():
+                monkeypatch.setattr(model, "KERNEL_BUDGET", 2 * cond.J * k * k)
+                got[name] = (cond.log_pooled_density(batch, perms),
+                             cond.log_density_terms(batch, perms))
+        for name, (pooled, terms) in got.items():
+            # every copy has the bits of the first
+            np.testing.assert_array_equal(pooled, np.broadcast_to(pooled[:1], pooled.shape))
+            np.testing.assert_array_equal(terms, np.broadcast_to(terms[:1], terms.shape))
+        assert np.all(np.isfinite(got["zero_weight"][0]))
+        assert np.all(np.isneginf(got["overflowing_precision"][0]))
+        assert np.all(np.isneginf(got["overflowing_precision"][1]))
+        assert np.all(np.isneginf(got["subnormal_variance"][0]))
+
+    def test_worker_exception_reaches_caller(self, small_normal_data, fixed_prior,
+                                             monkeypatch):
+        rng = np.random.default_rng(26)
+        k, J, B = 3, 4, 20
+        cond = conditioning_set(small_normal_data, fixed_prior, rng, k, J)
+        batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
+                            rng.gamma(3.0, 1.0, (B, k)) + 0.2)
+        raised = threading.Event()
+        log_sum_exp_into = model.log_sum_exp_into
+
+        def reduce_fails_in_workers(values, axis=None):
+            # the calling thread holds its chunk until a worker has failed, so
+            # the workers surely take chunks
+            if threading.current_thread() is threading.main_thread():
+                raised.wait(timeout=30)
+                return log_sum_exp_into(values, axis)
+            raised.set()
+            raise FloatingPointError("failed in a worker")
+
+        monkeypatch.setattr(model, "log_sum_exp_into", reduce_fails_in_workers)
+        monkeypatch.setattr(model, "KERNEL_BUDGET", 2 * J * k)  # 2-point chunks
+        monkeypatch.setattr(model, "KERNEL_THREADS", 2)
+        with pytest.raises(FloatingPointError, match="failed in a worker"):
+            cond.log_pooled_density(batch, permutation_matrix(k)[:1])
+        assert raised.is_set()
 
     def test_sample_scatter_order(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(15)
