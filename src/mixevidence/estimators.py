@@ -13,6 +13,11 @@ h_sigma(theta) = (1/J) sum_j pi(theta | sigma(draw_j), x), one column of
 `DualProposal.log_h` per row sigma of `permutation_matrix(k)`, are the
 shared building block: the symmetrized proposal density is their average
 over the permutation set.
+
+Every proposal samples its identity cluster only.  A symmetrized q is
+invariant under relabelling, and so is the target, so the weight
+target / q of a relabelled particle equals that of the particle itself:
+drawing from h_identity gives the same estimator as drawing from q.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsChain, chain_mean_stderr, permute_draws
+from .gibbs import GibbsChain, chain_mean_stderr, permute_chain
 from .model import (
     Allocation,
     ConditioningSet,
@@ -154,8 +159,6 @@ class EvidenceEstimate:
         }
         if self.report is not None:
             rec.update(self.report.as_dict())
-        if self.trace is not None:
-            rec["trace"] = [float(v) for v in self.trace]
         return rec
 
 
@@ -167,21 +170,20 @@ class EvidenceEstimate:
 class DualProposal:
     """A pooled block-conditional proposal over permutation clusters.
 
-    q(theta) = (1/norm) * sum over `perm_rows` of h_sigma(theta) where
-    h_sigma pools the J conditioning draws.  For fully symmetrized
-    proposals `perm_rows` is all of S_k and norm = k!; for proposals whose
-    hyperparameters were randomly permuted beforehand the set is just the
-    identity and norm = 1.  Sampling draws from the identity cluster
-    h_sigma_c, optionally followed by a uniform random relabelling.
+    q(theta) = (1/P) * sum over the P `perm_rows` of h_sigma(theta), where
+    h_sigma pools the J conditioning draws.  Symmetrized proposals use all
+    of S_k (P = k!); a proposal whose draws were randomly relabelled
+    beforehand uses the identity row alone (P = 1).  `sample` draws from
+    the identity cluster: with all of S_k, q and the target are both
+    invariant under relabelling, so a relabelled particle would carry the
+    same weight, and with the identity row alone h_identity is q.
     """
 
     data: Dataset
     prior: PriorSpec
     cond: ConditioningSet
     perm_rows: np.ndarray
-    log_cluster_norm: float
-    symmetrize_samples: bool = False
-    label: str = "dual"
+    label: str
 
     @property
     def J(self) -> int:
@@ -195,6 +197,10 @@ class DualProposal:
     def n_clusters(self) -> int:
         return self.perm_rows.shape[0]
 
+    @property
+    def log_cluster_norm(self) -> float:
+        return math.log(self.n_clusters)
+
     def log_h(self, batch: ParamsBatch, subset=None) -> np.ndarray:
         """(B, P) log cluster densities, optionally restricted to ranked subset."""
         rows = self.perm_rows if subset is None else self.perm_rows[np.asarray(subset)]
@@ -206,18 +212,20 @@ class DualProposal:
 
     def sample(self, T: int, rng) -> ParamsBatch:
         gen = as_generator(rng)
-        js = gen.integers(0, self.J, size=T)
-        batch = self.cond.sample(js, gen)
-        if self.symmetrize_samples and self.k > 1:
-            rows = permutation_matrix(self.k)
-            gather = rows[gen.integers(0, len(rows), size=T)]
-            batch = ParamsBatch(
-                np.take_along_axis(batch.weights, gather, axis=1),
-                np.take_along_axis(batch.means, gather, axis=1),
-                np.take_along_axis(batch.variances, gather, axis=1),
-                batch.betas,
-            )
-        return batch
+        return self.cond.sample(gen.integers(0, self.J, size=T), gen)
+
+
+def _subsample(chain: GibbsChain, size: int, name: str, gen) -> GibbsChain:
+    """`size` distinct draws of the chain, in chain order."""
+    if size < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if size > len(chain):
+        raise ValueError(f"{name}={size} exceeds chain length {len(chain)}")
+    return chain.subset(np.sort(gen.choice(len(chain), size=size, replace=False)))
+
+
+def _conditioning_set(data: Dataset, prior: PriorSpec, draws: GibbsChain) -> ConditioningSet:
+    return ConditioningSet.from_draws(data, prior, draws.means, draws.allocations, draws.betas)
 
 
 def build_plugin_proposal(data: Dataset, prior: PriorSpec,
@@ -226,65 +234,24 @@ def build_plugin_proposal(data: Dataset, prior: PriorSpec,
     params, alloc = pivot
     cond = ConditioningSet.from_draws(data, prior, params.means, alloc.labels,
                                       None if params.beta is None else [params.beta])
-    k = params.k
-    return DualProposal(
-        data=data,
-        prior=prior,
-        cond=cond,
-        perm_rows=permutation_matrix(k),
-        log_cluster_norm=math.log(math.factorial(k)),
-        symmetrize_samples=True,
-        label="plugin_is",
-    )
+    return DualProposal(data, prior, cond, permutation_matrix(params.k), "plugin_is")
 
 
 def build_dual_proposal(chain: GibbsChain, data: Dataset, prior: PriorSpec,
                         J: int, rng) -> DualProposal:
     """Pool J draws of a relabelled chain and symmetrize over all k! permutations."""
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if J > len(chain):
-        raise ValueError(f"J={J} exceeds relabelled chain length {len(chain)}")
-    gen = as_generator(rng)
-    idx = np.sort(gen.choice(len(chain), size=J, replace=False))
-    pooled = chain.subset(idx)
-    cond = ConditioningSet.from_draws(data, prior, pooled.means, pooled.allocations,
-                                      pooled.betas)
-    k = chain.k
-    return DualProposal(
-        data=data,
-        prior=prior,
-        cond=cond,
-        perm_rows=permutation_matrix(k),
-        log_cluster_norm=math.log(math.factorial(k)),
-        symmetrize_samples=False,
-        label="sym_is",
-    )
+    pooled = _subsample(chain, J, "J", as_generator(rng))
+    return DualProposal(data, prior, _conditioning_set(data, prior, pooled),
+                        permutation_matrix(chain.k), "sym_is")
 
 
 def build_permuted_mixture(chain: GibbsChain, data: Dataset, prior: PriorSpec,
                            J1: int, rng) -> DualProposal:
     """Mixture of J1 conditionals whose hyperparameters are randomly relabelled."""
-    if J1 < 1:
-        raise ValueError("J1 must be >= 1")
-    if J1 > len(chain):
-        raise ValueError(f"J1={J1} exceeds chain length {len(chain)}")
     gen = as_generator(rng)
-    idx = np.sort(gen.choice(len(chain), size=J1, replace=False))
-    k = chain.k
-    which = gen.integers(0, math.factorial(k), size=J1)
-    pooled = permute_draws(chain.subset(idx), which)
-    cond = ConditioningSet.from_draws(data, prior, pooled.means, pooled.allocations,
-                                      pooled.betas)
-    return DualProposal(
-        data=data,
-        prior=prior,
-        cond=cond,
-        perm_rows=np.arange(k, dtype=np.intp)[None, :],
-        log_cluster_norm=0.0,
-        symmetrize_samples=False,
-        label="mixture_is",
-    )
+    pooled = permute_chain(_subsample(chain, J1, "J1", gen), gen)
+    return DualProposal(data, prior, _conditioning_set(data, prior, pooled),
+                        np.arange(chain.k, dtype=np.intp)[None, :], "mixture_is")
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +275,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
     T = len(chain)
     if T == 0:
         raise ValueError("empty chain")
-    cond = ConditioningSet.from_draws(
-        data, prior, chain.means, chain.allocations, chain.betas
-    )
+    cond = _conditioning_set(data, prior, chain)
     identity = np.arange(k, dtype=np.intp)[None, :]
     # the pivot's relabellings (permutation_averaged) or the pivot alone
     rows = permutation_matrix(k) if mode == "permutation_averaged" else identity
@@ -429,11 +394,7 @@ def importance_estimate(proposal: DualProposal, T: int, rng, truncated: bool = F
     report = None
     if truncated:
         M_eff = min(M, T)
-        first = ParamsBatch(
-            batch.weights[:M_eff], batch.means[:M_eff], batch.variances[:M_eff],
-            None if batch.betas is None else batch.betas[:M_eff],
-        )
-        log_h_cal = proposal.log_h(first)                     # (M, P) full clusters
+        log_h_cal = proposal.log_h(batch[:M_eff])             # (M, P) full clusters
         report = _build_report(log_h_cal, tau, T, proposal.k)
         subset = report.ordering[: report.A_size]
         log_q = np.empty(T)
@@ -441,11 +402,7 @@ def importance_estimate(proposal: DualProposal, T: int, rng, truncated: bool = F
             log_sum_exp(log_h_cal[:, subset], axis=1) - proposal.log_cluster_norm
         )
         if T > M_eff:
-            rest = ParamsBatch(
-                batch.weights[M_eff:], batch.means[M_eff:], batch.variances[M_eff:],
-                None if batch.betas is None else batch.betas[M_eff:],
-            )
-            log_q[M_eff:] = proposal.log_q(rest, subset)
+            log_q[M_eff:] = proposal.log_q(batch[M_eff:], subset)
     else:
         log_q = proposal.log_q(batch)
 
@@ -499,8 +456,6 @@ def bridge_sampling(data: Dataset, prior: PriorSpec, proposal: DualProposal,
     """
     if min(M1, M2) < 1 or iterations < 1:
         raise ValueError("M1, M2 and iterations must be >= 1")
-    if M2 > len(posterior_chain):
-        raise ValueError(f"M2={M2} exceeds posterior chain length {len(posterior_chain)}")
     started = time.perf_counter()
     gen = as_generator(rng)
     evals_before = proposal.cond.evaluations
@@ -509,8 +464,7 @@ def bridge_sampling(data: Dataset, prior: PriorSpec, proposal: DualProposal,
     lq1 = proposal.log_q(q_batch)
     lp1 = _log_target(data, prior, q_batch)
 
-    idx = np.sort(gen.choice(len(posterior_chain), size=M2, replace=False))
-    post = posterior_chain.subset(idx).params_batch()
+    post = _subsample(posterior_chain, M2, "M2", gen).params_batch()
     lq2 = proposal.log_q(post)
     lp2 = _log_target(data, prior, post)
 

@@ -91,12 +91,14 @@ class ExperimentConfig:
         unknown = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; known: {KNOWN_ESTIMATORS}")
-        for name in ("k", "T", "J", "M", "M1", "M2", "bridge_J1",
-                     "bridge_iterations", "replicates", "threads"):
-            if getattr(self, name) < 1:
+        for name in ("k", "T", "J", "J1", "M", "M1", "M2", "bridge_J1",
+                     "bridge_iterations", "replicates", "n", "threads"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
+        self.gibbs_config()  # iterations, burn_in and thinning
 
     @property
     def effective_J1(self) -> int:
@@ -201,9 +203,7 @@ def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
                                       stream.substream("bridge"), permuted)
             else:  # pragma: no cover - guarded by config validation
                 raise ValueError(method)
-            rec = est.as_record()
-            rec.pop("trace", None)
-            row.update(rec)
+            row.update(est.as_record())
             row["error"] = ""
         except Exception as exc:  # noqa: BLE001 - per-replicate isolation
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -314,6 +314,11 @@ class ParamsBatch:
     def k(self) -> int:
         return self.weights.shape[1]
 
+    def __getitem__(self, rows) -> "ParamsBatch":
+        """The states at `rows`, a slice or an index array, as a batch."""
+        return ParamsBatch(self.weights[rows], self.means[rows], self.variances[rows],
+                           None if self.betas is None else self.betas[rows])
+
     @classmethod
     def from_params(cls, params_seq) -> "ParamsBatch":
         params_seq = list(params_seq)

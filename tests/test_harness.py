@@ -55,6 +55,13 @@ class TestConfig:
             ExperimentConfig(T=0)
         with pytest.raises(ValueError):
             ExperimentConfig(tau=0.0)
+        for field_name in ("J1", "n"):
+            with pytest.raises(ValueError, match=field_name):
+                ExperimentConfig(**{field_name: 0})
+        with pytest.raises(ValueError, match="burn_in"):
+            ExperimentConfig(iterations=100, burn_in=100)
+        with pytest.raises(ValueError, match="thinning"):
+            ExperimentConfig(thinning=0)
 
     def test_effective_j1_default(self):
         assert ExperimentConfig(k=2).effective_J1 == 200
