@@ -180,6 +180,69 @@ class TestRunExperiment:
         assert data.n == 30
 
 
+# The benchmark workloads at the bench smoke-test sizes, seed 1, replicate 0:
+# (config, [(method, log_evidence, R, se_log, density_evaluations, A_size)]).
+SMOKE_SIZES = dict(iterations=400, burn_in=100, T=300, J=10, J1=40, M=60, M1=200,
+                   M2=200, bridge_J1=50, bridge_iterations=3, seed=1, replicates=1)
+PINNED_ROWS = {
+    "d1_chib": (
+        dict(dataset="d1", k=2, prior="fixed:2,3",
+             estimators=("chib_kfact", "chib_perm", "plugin_is")),
+        [("chib_kfact", -160.17248061445326, 1.0, 0.14366543384954653, 300, None),
+         ("chib_perm", -160.17248061445326, 1.0, 0.14366543384954666, 600, None),
+         ("plugin_is", -160.24385055130662, 0.39044051373488325, 0.07225951050046968,
+          600, None)],
+    ),
+    "d2_full": (
+        dict(dataset="d2", k=3, prior="fixed:2,15"),
+        [("chib_kfact", -223.05134050557155, 1.0, 0.5402951131427692, 300, None),
+         ("chib_perm", -223.05183860128614, 1.0, 0.5399982767285285, 1800, None),
+         ("plugin_is", -224.60517505510003, 0.04974774677955617, 0.2527534849549547,
+          1800, None),
+         ("sym_is", -221.8235326992244, 0.038621099584026826, 0.2885355847303638,
+          18000, None),
+         ("sym_is_trunc", -221.8235326992244, 0.038621099584026826, 0.2885355847303638,
+          18000, 6),
+         ("mixture_is", -222.1039331756266, 0.028981016194420443, 0.3347506749674316,
+          12000, None),
+         ("bridge", -222.05224616952006, 0.017996963874824568, 0.5236369138567745,
+          20000, None)],
+    ),
+    "galaxy_full": (
+        dict(dataset="galaxy", k=4, prior="rg"),
+        [("chib_kfact", -223.37683087556408, 1.0, 0.3875914162490111, 300, None),
+         ("chib_perm", -223.37683087556408, 1.0, 0.3875914162490106, 7200, None),
+         ("plugin_is", -224.7883797364838, 0.1081960925990155, 0.16603257476320474,
+          7200, None),
+         ("sym_is", -223.53906486603756, 0.009187709995879948, 0.6005600776921249,
+          72000, None),
+         ("sym_is_trunc", -223.53906486603756, 0.009187709995879948, 0.6005600776921249,
+          26400, 5),
+         ("mixture_is", -225.37120653996678, 0.012839163459712049, 0.5070957847633448,
+          12000, None),
+         ("bridge", -223.6199105121223, 0.08793739223936287, 0.22829636472767023,
+          20000, None)],
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_ROWS))
+def test_replicate_rows_pinned(workload):
+    """Every estimate, diagnostic and evaluation count of one replicate is frozen."""
+    fields, pinned = PINNED_ROWS[workload]
+    config = ExperimentConfig(**fields, **SMOKE_SIZES)
+    data = resolve_dataset(config)
+    rows = run_replicate(config, data, parse_prior(config.prior, data), 0)
+    assert [r["method"] for r in rows] == [p[0] for p in pinned]
+    for row, (method, log_evidence, R, se_log, evaluations, A_size) in zip(rows, pinned):
+        assert row["error"] == "", method
+        assert row["log_evidence"] == pytest.approx(log_evidence, rel=1e-12, abs=0), method
+        assert row["R"] == pytest.approx(R, rel=1e-12, abs=0), method
+        assert row["se_log"] == pytest.approx(se_log, rel=1e-12, abs=0), method
+        assert row["density_evaluations"] == evaluations, method
+        assert row.get("A_size") == A_size, method
+
+
 class TestRecordsAndSummaries:
     def test_json_round_trip(self, tmp_path):
         rec = run_experiment(_tiny_config())
