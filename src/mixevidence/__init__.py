@@ -5,8 +5,9 @@ marginal-likelihood estimators: candidate-point (Chib-style) identities,
 importance sampling with symmetrized Rao-Blackwell proposals built from
 relabelled Gibbs draws, a truncated variant that skips numerically
 negligible permutation clusters, and iterative bridge sampling.  A label
-permutation is a row of `permutation_matrix(k)`, and every density is
-evaluated on `ParamsBatch` batches.
+permutation is a row of `permutation_matrix(k)`.  A parameter state is a
+row of a `GibbsChain` or a `ParamsBatch`, and every density is evaluated on
+batches; the pivot, like any single draw, is a one-draw chain.
 """
 
 from .numerics import (
@@ -16,11 +17,9 @@ from .numerics import (
     permutation_matrix,
 )
 from .model import (
-    Allocation,
     Dataset,
     FixedPrior,
     HierarchicalPrior,
-    MixtureParams,
     PriorSpec,
 )
 from .gibbs import (

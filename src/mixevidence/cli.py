@@ -15,7 +15,7 @@ import json
 import sys
 
 from .datasets import generate_dataset
-from .gibbs import GibbsConfig, export_chain_csv, permute_chain, run_gibbs
+from .gibbs import export_chain_csv, permute_chain, run_gibbs
 from .harness import (
     KNOWN_ESTIMATORS,
     ExperimentConfig,
@@ -82,16 +82,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    data = resolve_dataset(_config_from_args(args, out=None))
-    prior = parse_prior(args.prior, data)
-    config = GibbsConfig(
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        seed=args.seed,
-    )
-    stream = RngStream(args.seed).substream("replicate", 0)
-    chain = run_gibbs(data, prior, args.k, config, rng=stream.substream("gibbs"))
+    config = _config_from_args(args, out=None)
+    data = resolve_dataset(config)
+    prior = parse_prior(config.prior, data)
+    stream = RngStream(config.seed).substream("replicate", 0)
+    chain = run_gibbs(data, prior, config.k, config.gibbs_config(),
+                      rng=stream.substream("gibbs"))
     if args.permute:
         chain = permute_chain(chain, stream.substream("permute"))
     export_chain_csv(chain, data, prior, args.out)

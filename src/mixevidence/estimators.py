@@ -6,7 +6,9 @@ importance sampling from a symmetrized single-draw proposal, importance
 sampling from a pooled proposal built on J relabelled Gibbs draws
 symmetrized over all k! label permutations (full and truncated to the
 contributing permutation clusters), a randomly-permuted mixture proposal,
-and iterative bridge sampling.
+and iterative bridge sampling.  The pivot is a one-draw `GibbsChain`
+(`gibbs.select_pivot`), so the single-draw proposal pools it exactly as
+the dual proposal pools its J draws.
 
 All weight arithmetic is in log space.  Per-permutation cluster densities
 h_sigma(theta) = (1/J) sum_j pi(theta | sigma(draw_j), x), one column of
@@ -30,10 +32,8 @@ import numpy as np
 
 from .gibbs import GibbsChain, chain_mean_stderr, permute_chain
 from .model import (
-    Allocation,
     ConditioningSet,
     Dataset,
-    MixtureParams,
     ParamsBatch,
     PriorSpec,
     log_likelihood_batch,
@@ -221,20 +221,17 @@ def _subsample(chain: GibbsChain, size: int, name: str, gen) -> GibbsChain:
         raise ValueError(f"{name} must be >= 1")
     if size > len(chain):
         raise ValueError(f"{name}={size} exceeds chain length {len(chain)}")
-    return chain.subset(np.sort(gen.choice(len(chain), size=size, replace=False)))
+    return chain[np.sort(gen.choice(len(chain), size=size, replace=False))]
 
 
 def _conditioning_set(data: Dataset, prior: PriorSpec, draws: GibbsChain) -> ConditioningSet:
     return ConditioningSet.from_draws(data, prior, draws.means, draws.allocations, draws.betas)
 
 
-def build_plugin_proposal(data: Dataset, prior: PriorSpec,
-                          pivot: tuple[MixtureParams, Allocation]) -> DualProposal:
-    """Single-draw proposal symmetrized over all k! permutations."""
-    params, alloc = pivot
-    cond = ConditioningSet.from_draws(data, prior, params.means, alloc.labels,
-                                      None if params.beta is None else [params.beta])
-    return DualProposal(data, prior, cond, permutation_matrix(params.k), "plugin_is")
+def build_plugin_proposal(data: Dataset, prior: PriorSpec, pivot: GibbsChain) -> DualProposal:
+    """The one draw of `pivot` symmetrized over all k! permutations."""
+    return DualProposal(data, prior, _conditioning_set(data, prior, pivot),
+                        permutation_matrix(pivot.k), "plugin_is")
 
 
 def build_dual_proposal(chain: GibbsChain, data: Dataset, prior: PriorSpec,
@@ -259,19 +256,21 @@ def build_permuted_mixture(chain: GibbsChain, data: Dataset, prior: PriorSpec,
 # ---------------------------------------------------------------------------
 
 def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
-         pivot: tuple[MixtureParams, Allocation], mode: str = "plain") -> EvidenceEstimate:
+         pivot: GibbsChain, mode: str = "plain") -> EvidenceEstimate:
     """Evidence via log pi(pivot) + log p(x|pivot) - log posterior ordinate.
 
-    The posterior ordinate is the pooled block density of the pivot over
-    the whole chain; `mode` selects the plain pooled estimate, the plain
-    estimate times k!, or the average over all k! relabellings of the
-    pivot (which needs no relabelling of the chain itself).
+    `pivot` is a one-draw chain.  The posterior ordinate is the pooled block
+    density of the pivot over the whole chain; `mode` selects the plain
+    pooled estimate, the plain estimate times k!, or the average over all k!
+    relabellings of the pivot (which needs no relabelling of the chain
+    itself).
     """
     if mode not in ("plain", "k_fact", "permutation_averaged"):
         raise ValueError(f"unknown chib mode: {mode}")
     started = time.perf_counter()
-    params, _ = pivot
-    k = params.k
+    if len(pivot) != 1:
+        raise ValueError(f"pivot must be a one-draw chain, not {len(pivot)} draws")
+    k = pivot.k
     T = len(chain)
     if T == 0:
         raise ValueError("empty chain")
@@ -279,8 +278,8 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
     identity = np.arange(k, dtype=np.intp)[None, :]
     # the pivot's relabellings (permutation_averaged) or the pivot alone
     rows = permutation_matrix(k) if mode == "permutation_averaged" else identity
-    batch = ParamsBatch(params.weights[rows], params.means[rows], params.variances[rows],
-                        None if params.beta is None else np.full(len(rows), params.beta))
+    batch = ParamsBatch(pivot.weights[0][rows], pivot.means[0][rows], pivot.variances[0][rows],
+                        None if pivot.betas is None else np.repeat(pivot.betas, len(rows)))
     terms = cond.log_density_terms(batch, identity)[:, 0, :]        # (P, T)
     # per-draw series pooled over relabellings, for diagnostics
     per_draw = log_sum_exp(terms, axis=0) - math.log(len(rows))
@@ -291,7 +290,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
             "posterior ordinate underflowed: the pivot is unsupported by the chain"
         )
 
-    log_ev = _log_target(data, prior, ParamsBatch.from_params([params]))[0] - log_ordinate
+    log_ev = _log_target(data, prior, pivot.params_batch())[0] - log_ordinate
     if mode == "k_fact":
         log_ev += math.log(math.factorial(k))
 

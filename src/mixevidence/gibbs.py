@@ -19,6 +19,11 @@ arithmetic changes every chain.
 Stored draws are relabelled only afterwards, by rows of
 `permutation_matrix(k)` (`permute_draws`): uniformly at random in
 `permute_chain`, or towards a reference in `relabel.relabel_chain`.
+
+`chain[rows]` is the chain of the draws at `rows`, so a single draw is a
+one-draw chain.  The pivot is one: `select_pivot` returns the stored draw
+of highest posterior density as `chain[t]`, and the plug-in proposal,
+Chib's candidate point and the relabelling reference all take it as such.
 """
 
 from __future__ import annotations
@@ -31,9 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    Allocation,
     Dataset,
-    MixtureParams,
     ParamsBatch,
     PriorSpec,
     beta_conditional,
@@ -79,7 +82,11 @@ class GibbsConfig:
 
 @dataclass
 class GibbsChain:
-    """Post-burn-in, thinned draws stored as flat arrays."""
+    """Post-burn-in, thinned draws stored as flat arrays.
+
+    A parameter state with its allocation is a row of these arrays; a single
+    draw, such as the pivot, is a chain of length one.
+    """
 
     k: int
     weights: np.ndarray          # (T, k)
@@ -104,28 +111,22 @@ class GibbsChain:
         flags[1:] = low[1:] != low[:-1]
         return flags
 
-    def draw(self, t: int) -> tuple[MixtureParams, Allocation]:
-        params = MixtureParams(
-            self.weights[t].copy(),
-            self.means[t].copy(),
-            self.variances[t].copy(),
-            None if self.betas is None else float(self.betas[t]),
+    def __getitem__(self, rows) -> "GibbsChain":
+        """The draws at `rows`, an int, a slice or an index array, as a chain:
+        `chain[t]` is the one-draw chain of draw t."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return replace(
+            self,
+            weights=self.weights[rows],
+            means=self.means[rows],
+            variances=self.variances[rows],
+            allocations=self.allocations[rows],
+            betas=None if self.betas is None else self.betas[rows],
         )
-        return params, Allocation(self.allocations[t].astype(np.intp))
 
     def params_batch(self) -> ParamsBatch:
         return ParamsBatch(self.weights, self.means, self.variances, self.betas)
-
-    def subset(self, indices) -> "GibbsChain":
-        idx = np.asarray(indices, dtype=np.intp)
-        return replace(
-            self,
-            weights=self.weights[idx],
-            means=self.means[idx],
-            variances=self.variances[idx],
-            allocations=self.allocations[idx],
-            betas=None if self.betas is None else self.betas[idx],
-        )
 
 
 def _init_allocation(x: np.ndarray, k: int) -> np.ndarray:
@@ -254,12 +255,11 @@ def chain_log_posterior(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> n
     return log_prior_batch(batch, prior) + log_likelihood_batch(data, batch)
 
 
-def select_pivot(chain: GibbsChain, data: Dataset, prior: PriorSpec):
-    """The stored draw with the highest joint posterior density."""
+def select_pivot(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> GibbsChain:
+    """The stored draw with the highest joint posterior density, as a one-draw chain."""
     if len(chain) == 0:
         raise ValueError("cannot select a pivot from an empty chain")
-    t = int(np.argmax(chain_log_posterior(chain, data, prior)))
-    return chain.draw(t)
+    return chain[int(np.argmax(chain_log_posterior(chain, data, prior)))]
 
 
 def export_chain_csv(chain: GibbsChain, data: Dataset, prior: PriorSpec, path) -> None:

@@ -167,7 +167,7 @@ def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
     def dual_proposal():
         nonlocal dual
         if dual is None:
-            dual = build_dual_proposal(relabel_chain(chain, pivot[0]), data, prior,
+            dual = build_dual_proposal(relabel_chain(chain, pivot), data, prior,
                                        config.J, stream.substream("subsample"))
         return dual
 

@@ -4,7 +4,8 @@ The parameter state is theta = (weights, means, variances), optionally
 extended by a shared inverse-gamma scale `beta` under the hierarchical
 prior, in which case all joint densities (prior, posterior blocks) include
 the beta level so that evidence values remain well-defined integrals over
-the full state.
+the full state.  A state is a row of a `ParamsBatch` (or of a stored
+`gibbs.GibbsChain`); a single state is a batch or chain of one row.
 
 The central object for every estimator is the normalized "one Gibbs sweep"
 block density pi(theta | theta', z', x): weights given allocation counts,
@@ -60,8 +61,6 @@ from .numerics import (
 
 __all__ = [
     "Dataset",
-    "MixtureParams",
-    "Allocation",
     "FixedPrior",
     "HierarchicalPrior",
     "PriorSpec",
@@ -95,68 +94,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.observations.size
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class MixtureParams:
-    """Full parameter state of a k-component Gaussian mixture.
-
-    `beta` is the shared variance-prior scale and is only set when the
-    model carries the hierarchical prior; it rides along with the state so
-    that per-draw values can differ along a chain.
-    """
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-    beta: float | None = None
-
-    def __post_init__(self):
-        w = _frozen_array(self.weights)
-        m = _frozen_array(self.means)
-        v = _frozen_array(self.variances)
-        if not (w.shape == m.shape == v.shape) or w.ndim != 1 or w.size < 1:
-            raise ValueError("weights/means/variances must be 1-D and same length")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be >= 0 and sum to 1 within 1e-12")
-        if np.any(v <= 0):
-            raise ValueError("variances must be > 0")
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError("beta must be > 0 when present")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
-
-    @property
-    def k(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Latent component label per observation."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.labels)
-        if z.ndim != 1 or z.size < 1:
-            raise ValueError("labels must be a non-empty 1-D integer array")
-        if np.any(z < 0):
-            raise ValueError("labels must be non-negative")
-        z = z.astype(np.intp)
-        z.flags.writeable = False
-        object.__setattr__(self, "labels", z)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
 
 
 @dataclass(frozen=True)
@@ -318,19 +255,6 @@ class ParamsBatch:
         """The states at `rows`, a slice or an index array, as a batch."""
         return ParamsBatch(self.weights[rows], self.means[rows], self.variances[rows],
                            None if self.betas is None else self.betas[rows])
-
-    @classmethod
-    def from_params(cls, params_seq) -> "ParamsBatch":
-        params_seq = list(params_seq)
-        betas = None
-        if params_seq[0].beta is not None:
-            betas = np.array([p.beta for p in params_seq])
-        return cls(
-            weights=np.stack([p.weights for p in params_seq]),
-            means=np.stack([p.means for p in params_seq]),
-            variances=np.stack([p.variances for p in params_seq]),
-            betas=betas,
-        )
 
 
 def _chunk_edges(size: int, step: int) -> list[int]:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mixevidence.model import Dataset, FixedPrior, HierarchicalPrior, MixtureParams
+from mixevidence.model import Dataset, FixedPrior, HierarchicalPrior
 from mixevidence.numerics import RngStream
+
+from reference import MixtureParams
 
 
 @pytest.fixture(scope="session")

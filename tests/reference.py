@@ -2,12 +2,15 @@
 
 The library evaluates and samples the likelihood, the prior and the
 one-sweep block density only in batched form (`log_likelihood_batch`,
-`log_prior_batch`, `ConditioningSet`, `run_gibbs`).  This module keeps a
-per-draw implementation written independently of that code: small
-distribution value objects with exact normalized log-densities, the
-scalar likelihood and prior, the sufficient statistics of an allocation,
-the full conditionals, and the block density pi(theta | theta', z', x)
-with an exact sampler.  The tests check the batched code against it.
+`log_prior_batch`, `ConditioningSet`, `run_gibbs`), and holds a parameter
+state only as a row of a `ParamsBatch` or a `GibbsChain`.  This module
+keeps a per-draw implementation written independently of that code: a
+validated scalar state (`MixtureParams`, `Allocation`) with conversions to
+and from the library's rows, small distribution value objects with exact
+normalized log-densities, the scalar likelihood and prior, the sufficient
+statistics of an allocation, the full conditionals, and the block density
+pi(theta | theta', z', x) with an exact sampler.  The tests check the
+batched code against it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mixevidence.model import Allocation, Dataset, MixtureParams, PriorSpec
+from mixevidence.gibbs import GibbsChain
+from mixevidence.model import Dataset, ParamsBatch, PriorSpec
 from mixevidence.numerics import (
     as_generator,
     dirichlet_logpdf,
@@ -26,6 +30,93 @@ from mixevidence.numerics import (
     log_sum_exp,
     normal_logpdf,
 )
+
+
+# ---------------------------------------------------------------------------
+# Scalar states, and their conversion to and from the library's rows.
+# ---------------------------------------------------------------------------
+
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class MixtureParams:
+    """Full parameter state of a k-component Gaussian mixture.
+
+    `beta` is the shared variance-prior scale and is only set when the
+    model carries the hierarchical prior; it rides along with the state so
+    that per-draw values can differ along a chain.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    beta: float | None = None
+
+    def __post_init__(self):
+        w = _frozen_array(self.weights)
+        m = _frozen_array(self.means)
+        v = _frozen_array(self.variances)
+        if not (w.shape == m.shape == v.shape) or w.ndim != 1 or w.size < 1:
+            raise ValueError("weights/means/variances must be 1-D and same length")
+        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+            raise ValueError("weights must be >= 0 and sum to 1 within 1e-12")
+        if np.any(v <= 0):
+            raise ValueError("variances must be > 0")
+        if self.beta is not None and not self.beta > 0:
+            raise ValueError("beta must be > 0 when present")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "variances", v)
+
+    @property
+    def k(self) -> int:
+        return self.weights.size
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """Latent component label per observation."""
+
+    labels: np.ndarray
+
+    def __post_init__(self):
+        z = np.asarray(self.labels)
+        if z.ndim != 1 or z.size < 1:
+            raise ValueError("labels must be a non-empty 1-D integer array")
+        if np.any(z < 0):
+            raise ValueError("labels must be non-negative")
+        z = z.astype(np.intp)
+        z.flags.writeable = False
+        object.__setattr__(self, "labels", z)
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
+
+
+def from_params(params_seq) -> ParamsBatch:
+    """The states of `params_seq` stacked into one batch, in order."""
+    params_seq = list(params_seq)
+    betas = None
+    if params_seq[0].beta is not None:
+        betas = np.array([p.beta for p in params_seq])
+    return ParamsBatch(
+        weights=np.stack([p.weights for p in params_seq]),
+        means=np.stack([p.means for p in params_seq]),
+        variances=np.stack([p.variances for p in params_seq]),
+        betas=betas,
+    )
+
+
+def scalar_draw(chain: GibbsChain, t: int = 0) -> tuple[MixtureParams, Allocation]:
+    """Draw t of a chain (by default the one draw of a pivot) as a scalar state."""
+    params = MixtureParams(chain.weights[t], chain.means[t], chain.variances[t],
+                           None if chain.betas is None else float(chain.betas[t]))
+    return params, Allocation(chain.allocations[t])
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +296,6 @@ class SufficientStats:
         """Sum of (x - c_i)^2 within each component, from power sums."""
         c = np.asarray(centers, dtype=float)
         return self.sums_sq - 2.0 * c * self.sums + self.counts * c * c
-
-
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
 
 
 def allocation_log_probs(data: Dataset, params: MixtureParams):

@@ -39,12 +39,12 @@ from mixevidence.estimators import (
 )
 from mixevidence.gibbs import GibbsConfig, permute_chain, run_gibbs, select_pivot
 from mixevidence.harness import ExperimentConfig, parse_prior, run_replicate
-from mixevidence.model import ParamsBatch, log_likelihood_batch, log_prior_batch
+from mixevidence.model import log_likelihood_batch, log_prior_batch
 from mixevidence.numerics import RngStream, log_sum_exp, permutation_matrix
 from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
-from reference import permute_params
+from reference import MixtureParams, from_params, permute_params
 
 
 def _line(criterion: int, ok: bool, detail: str) -> None:
@@ -85,7 +85,7 @@ def d1_batch():
     stream = RngStream(cfg.seed).substream("replicate", 0)
     chain = run_gibbs(data, prior, 2, cfg.gibbs_config(), rng=stream.substream("gibbs"))
     pivot = select_pivot(chain, data, prior)
-    rel = relabel_chain(chain, pivot[0])
+    rel = relabel_chain(chain, pivot)
     proposal = build_dual_proposal(rel, data, prior, cfg.J, stream.substream("subsample"))
     full = importance_estimate(proposal, cfg.T, stream.substream("dual"))
     trunc = importance_estimate(proposal, cfg.T, stream.substream("dual"),
@@ -339,20 +339,20 @@ def test_criterion_8_invariant_suite(d1_batch):
                           GibbsConfig(iterations=2_000, burn_in=500, seed=k),
                           rng=stream.substream("gibbs"))
         pivot = select_pivot(chain, data, prior)
-        rel = relabel_chain(chain, pivot[0])
+        rel = relabel_chain(chain, pivot)
         prop = build_dual_proposal(rel, data, prior, 40, stream.substream("sub"))
 
         # q symmetry over all permutations of a random point
         point = prop.sample(1, stream.substream("pt"))
-        theta = mx.MixtureParams(point.weights[0], point.means[0], point.variances[0])
+        theta = MixtureParams(point.weights[0], point.means[0], point.variances[0])
         rows = permutation_matrix(k)
-        versions = ParamsBatch.from_params([permute_params(theta, row) for row in rows])
+        versions = from_params([permute_params(theta, row) for row in rows])
         qs = prop.log_q(versions)
         checks.append(("q symmetry", k, float(np.ptp(qs)) < 1e-12))
 
         # h equivariance: h_sigma(theta) = h_identity(theta relabelled by sigma^-1)
-        h = prop.log_h(ParamsBatch.from_params([theta]))[0]
-        inverses = ParamsBatch.from_params(
+        h = prop.log_h(from_params([theta]))[0]
+        inverses = from_params(
             [permute_params(theta, np.argsort(row)) for row in rows])
         h_inv = prop.cond.log_pooled_density(inverses, rows[:1])[:, 0]
         equivariant = bool(np.all(np.abs(h - h_inv) <= 1e-12))

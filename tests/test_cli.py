@@ -7,6 +7,9 @@ import pytest
 
 from mixevidence.cli import main
 from mixevidence.datasets import load_dataset
+from mixevidence.gibbs import run_gibbs
+from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
+from mixevidence.numerics import RngStream
 
 
 def test_simulate_writes_dataset(tmp_path):
@@ -34,6 +37,15 @@ def test_gibbs_exports_chain(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     assert "log_posterior" in rows[0]
+    # the chain of replicate 0 of the equivalent ExperimentConfig, to the last bit
+    config = ExperimentConfig(dataset="d1", k=2, prior="fixed:2,3", iterations=300,
+                              burn_in=100, seed=1)
+    data = resolve_dataset(config)
+    chain = run_gibbs(data, parse_prior(config.prior, data), 2, config.gibbs_config(),
+                      rng=RngStream(1).substream("replicate", 0).substream("gibbs"))
+    for name in ("weights", "means", "variances"):
+        exported = [[float(r[f"{name[:-1]}_{i}"]) for i in range(2)] for r in rows]
+        np.testing.assert_array_equal(exported, getattr(chain, name))
 
 
 def test_gibbs_random_permutation(tmp_path, capsys):

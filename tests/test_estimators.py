@@ -18,13 +18,11 @@ from mixevidence.estimators import (
     log_weight_stderr,
     workload_gain,
 )
-from mixevidence.gibbs import GibbsConfig, permute_chain, run_gibbs, select_pivot
+from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
 from mixevidence.model import (
-    Allocation,
     Dataset,
     FixedPrior,
     HierarchicalPrior,
-    MixtureParams,
     ParamsBatch,
     log_likelihood_batch,
     log_prior_batch,
@@ -34,7 +32,7 @@ from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
 from conftest import random_params
-from reference import log_block_density, permute_params
+from reference import from_params, log_block_density, permute_params, scalar_draw
 
 # Frozen values from the enumeration/quadrature oracles (see test_oracle.py
 # for the recomputation): tiny 4+4-point dataset, prior N(0,100) x IG(2,3).
@@ -138,7 +136,7 @@ class TestProposals:
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
         prop = build_plugin_proposal(tiny_two_group_data_module, fixed_prior_module, pivot)
         theta = random_params(2, 5)
-        batch = ParamsBatch.from_params(
+        batch = from_params(
             [permute_params(theta, row) for row in permutation_matrix(2)]
         )
         values = prop.log_q(batch)
@@ -147,11 +145,11 @@ class TestProposals:
     def test_dual_proposal_symmetry(self, tiny_two_group_data_module,
                                     fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=20, rng=RngStream(4))
         theta = random_params(2, 6)
-        batch = ParamsBatch.from_params(
+        batch = from_params(
             [permute_params(theta, row) for row in permutation_matrix(2)]
         )
         values = prop.log_q(batch)
@@ -160,14 +158,14 @@ class TestProposals:
     def test_h_sigma_equivariance(self, tiny_two_group_data_module,
                                   fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(5))
         theta = random_params(2, 7)
         rows = permutation_matrix(2)
         # h_sigma(theta) = h_identity(theta relabelled by the inverse of sigma)
-        lhs = prop.log_h(ParamsBatch.from_params([theta]))[0]
-        inverses = ParamsBatch.from_params(
+        lhs = prop.log_h(from_params([theta]))[0]
+        inverses = from_params(
             [permute_params(theta, np.argsort(row)) for row in rows])
         rhs = prop.cond.log_pooled_density(inverses, rows[:1])[:, 0]
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
@@ -175,11 +173,11 @@ class TestProposals:
     def test_q_is_average_of_clusters(self, tiny_two_group_data_module,
                                       fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(6))
         theta = random_params(2, 8)
-        batch = ParamsBatch.from_params([theta])
+        batch = from_params([theta])
         log_hs = [prop.cond.log_pooled_density(batch, row)[0, 0] for row in permutation_matrix(2)]
         expected = log_sum_exp(np.array(log_hs)) - math.log(2)
         assert prop.log_q(batch)[0] == pytest.approx(expected, abs=1e-12)
@@ -187,16 +185,14 @@ class TestProposals:
     def test_j1_dual_equals_plugin_density(self, tiny_two_group_data_module,
                                            fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         # force the J=1 subsample to be a known draw, then compare with the
         # plugin proposal built from that same draw
         dual = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=1, rng=RngStream(7))
         t = int(np.sort(RngStream(7).generator.choice(len(rel), size=1, replace=False))[0])
-        plugin = build_plugin_proposal(
-            tiny_two_group_data_module, fixed_prior_module, rel.draw(t)
-        )
-        batch = ParamsBatch.from_params([random_params(2, s) for s in range(4)])
+        plugin = build_plugin_proposal(tiny_two_group_data_module, fixed_prior_module, rel[t])
+        batch = from_params([random_params(2, s) for s in range(4)])
         np.testing.assert_allclose(
             dual.log_q(batch), plugin.log_q(batch), atol=1e-12
         )
@@ -207,13 +203,13 @@ class TestProposals:
                                       fixed_prior_module, J1=50, rng=RngStream(8))
         assert prop.n_clusters == 1
         assert prop.log_cluster_norm == 0.0
-        batch = ParamsBatch.from_params([random_params(2, 11)])
+        batch = from_params([random_params(2, 11)])
         assert np.isfinite(prop.log_q(batch)[0])
 
     def test_j_larger_than_chain_rejected(self, tiny_two_group_data_module,
                                           fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         with pytest.raises(ValueError, match="exceeds"):
             build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                 J=len(rel) + 1, rng=RngStream(9))
@@ -221,14 +217,13 @@ class TestProposals:
     def test_scalar_block_density_consistency(self, tiny_two_group_data_module,
                                               fixed_prior_module, tiny_chain):
         # h of a single-draw proposal equals the plain block density
-        params, alloc = tiny_chain.draw(0)
         plugin = build_plugin_proposal(tiny_two_group_data_module, fixed_prior_module,
-                                       (params, alloc))
+                                       tiny_chain[0])
         theta = random_params(2, 13)
-        direct = log_block_density(theta, (params, alloc), tiny_two_group_data_module,
-                                   fixed_prior_module)
+        direct = log_block_density(theta, scalar_draw(tiny_chain, 0),
+                                   tiny_two_group_data_module, fixed_prior_module)
         identity = permutation_matrix(2)[:1]
-        h = plugin.cond.log_pooled_density(ParamsBatch.from_params([theta]), identity)
+        h = plugin.cond.log_pooled_density(from_params([theta]), identity)
         assert h[0, 0] == pytest.approx(direct, abs=1e-10)
 
 
@@ -244,7 +239,7 @@ class TestSeparatedClusterGap:
                           GibbsConfig(iterations=3_000, burn_in=1_000, seed=4),
                           rng=RngStream(44).substream("gibbs"))
         pivot = select_pivot(chain, data, prior)
-        rel = relabel_chain(chain, pivot[0])
+        rel = relabel_chain(chain, pivot)
         prop = build_dual_proposal(rel, data, prior, J=50, rng=RngStream(10))
         batch = prop.sample(200, RngStream(11))
         log_h = prop.log_h(batch)
@@ -258,7 +253,7 @@ class TestImportanceEstimate:
                           GibbsConfig(iterations=3_000, burn_in=1_000, seed=5),
                           rng=RngStream(50).substream("gibbs"))
         pivot = select_pivot(chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(chain, pivot[0])
+        rel = relabel_chain(chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=50, rng=RngStream(12))
         est = importance_estimate(prop, 4_000, RngStream(13))
@@ -269,7 +264,7 @@ class TestImportanceEstimate:
     def test_k2_matches_enumeration(self, tiny_two_group_data_module,
                                     fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=100, rng=RngStream(14))
         est = importance_estimate(prop, 6_000, RngStream(15))
@@ -282,7 +277,7 @@ class TestImportanceEstimate:
                           GibbsConfig(iterations=4_000, burn_in=1_000, seed=6),
                           rng=RngStream(60).substream("gibbs"))
         pivot = select_pivot(chain, tiny3_data, fixed_prior_module)
-        rel = relabel_chain(chain, pivot[0])
+        rel = relabel_chain(chain, pivot)
         prop = build_dual_proposal(rel, tiny3_data, fixed_prior_module,
                                    J=100, rng=RngStream(16))
         est = importance_estimate(prop, 6_000, RngStream(17))
@@ -293,7 +288,7 @@ class TestImportanceEstimate:
     def test_evaluation_count_full(self, tiny_two_group_data_module,
                                    fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=25, rng=RngStream(18))
         T = 500
@@ -304,7 +299,7 @@ class TestImportanceEstimate:
     def test_evaluation_count_truncated(self, tiny_two_group_data_module,
                                         fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=25, rng=RngStream(18))
         T, M = 500, 100
@@ -319,7 +314,7 @@ class TestImportanceEstimate:
         self, tiny_two_group_data_module, fixed_prior_module, tiny_chain
     ):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=50, rng=RngStream(20))
         full = importance_estimate(prop, 2_000, RngStream(21))
@@ -340,7 +335,7 @@ class TestImportanceEstimate:
         if builder == "plugin":
             prop = build_plugin_proposal(tiny3_data, prior, pivot)
         else:
-            prop = build_dual_proposal(relabel_chain(chain, pivot[0]), tiny3_data, prior,
+            prop = build_dual_proposal(relabel_chain(chain, pivot), tiny3_data, prior,
                                        J=20, rng=RngStream(42))
         batch = prop.sample(50, RngStream(43))
 
@@ -358,7 +353,7 @@ class TestImportanceEstimate:
     def test_record_is_json_serializable(self, tiny_two_group_data_module,
                                          fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(23))
         est = importance_estimate(prop, 200, RngStream(24), truncated=True, M=50)
@@ -370,7 +365,7 @@ class TestCalibration:
     def test_eta_rows_normalized(self, tiny_two_group_data_module, fixed_prior_module,
                                  tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=30, rng=RngStream(25))
         batch = prop.sample(300, RngStream(26))
@@ -385,7 +380,7 @@ class TestCalibration:
     def test_phi_trace_monotone_and_exact_zero(self, tiny_two_group_data_module,
                                                fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=30, rng=RngStream(25))
         report = importance_estimate(prop, 2_000, RngStream(27), truncated=True, M=300).report
@@ -399,7 +394,7 @@ class TestCalibration:
     def test_tau_validation(self, tiny_two_group_data_module, fixed_prior_module,
                             tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(28))
         with pytest.raises(ValueError):
@@ -408,7 +403,7 @@ class TestCalibration:
     def test_huge_tau_keeps_one_cluster(self, tiny_two_group_data_module,
                                         fixed_prior_module, tiny_chain):
         pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        rel = relabel_chain(tiny_chain, pivot[0])
+        rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(28))
         report = importance_estimate(prop, 50, RngStream(29), truncated=True, M=50,
@@ -460,13 +455,21 @@ class TestChib:
     def test_unsupported_pivot_raises(self, tiny_two_group_data_module,
                                       fixed_prior_module, tiny_chain):
         # a variance this small underflows every ordinate term to -inf
-        bad = MixtureParams([0.5, 0.5], [0.0, 1.0], [1e-310, 1.0])
-        alloc = Allocation(np.zeros(tiny_two_group_data_module.n, dtype=int))
+        bad = GibbsChain(k=2, weights=np.array([[0.5, 0.5]]), means=np.array([[0.0, 1.0]]),
+                         variances=np.array([[1e-310, 1.0]]),
+                         allocations=np.zeros((1, tiny_two_group_data_module.n), np.int16),
+                         betas=None)
         # the typed error, with no floating-point warning on the way
         with pytest.raises(EstimationFailureError, match="pivot"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain, bad, "plain")
+
+    @pytest.mark.parametrize("draws", [0, 2])
+    def test_pivot_of_other_length_rejected(self, tiny_two_group_data_module,
+                                            fixed_prior_module, tiny_chain, draws):
+        with pytest.raises(ValueError, match="one-draw chain"):
             chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain,
-                 (bad, alloc), "plain")
+                 tiny_chain[:draws], "plain")
 
     def test_unknown_mode_rejected(self, tiny_two_group_data_module,
                                    fixed_prior_module, tiny_chain):

@@ -22,12 +22,18 @@ from mixevidence.gibbs import (
     select_pivot,
 )
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
-from mixevidence.model import HierarchicalPrior, MixtureParams, log_likelihood_batch
+from mixevidence.model import HierarchicalPrior, log_likelihood_batch
 from mixevidence.numerics import RngStream, permutation_matrix
 from mixevidence.oracle import log_marginal_group, posterior_moments_k1
 from mixevidence.relabel import relabel_chain
 
-from reference import allocation_log_probs, log_likelihood, log_prior
+from reference import (
+    MixtureParams,
+    allocation_log_probs,
+    log_likelihood,
+    log_prior,
+    scalar_draw,
+)
 
 
 class TestConfig:
@@ -236,8 +242,8 @@ class TestPermutationStep:
         """Derived chains flag the switches of their own means, not their parent's."""
         derived = {
             "permuted": permute_chain(chain, RngStream(12)),
-            "relabelled": relabel_chain(permute_chain(chain, RngStream(12)), chain.draw(0)[0]),
-            "subset": chain.subset(np.arange(0, len(chain), 3)),
+            "relabelled": relabel_chain(permute_chain(chain, RngStream(12)), chain[0]),
+            "indexed": chain[np.arange(0, len(chain), 3)],
         }
         for name, out in derived.items():
             low = np.argmin(out.means, axis=1)
@@ -258,11 +264,54 @@ class TestPermutationStep:
         np.testing.assert_allclose(moved, base, atol=1e-9)
         # allocations stay consistent with their draw's component order
         t = 3
-        p0, a0 = chain.draw(t)
-        p1, a1 = permuted.draw(t)
+        p0, a0 = scalar_draw(chain, t)
+        p1, a1 = scalar_draw(permuted, t)
         np.testing.assert_allclose(
             p0.means[a0.labels], p1.means[a1.labels], atol=1e-12
         )
+
+
+class TestChainIndexing:
+    """`chain[rows]` indexes every stored array alike and keeps the draw axis."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, small_normal_data):
+        prior = HierarchicalPrior.from_data(small_normal_data)
+        return run_gibbs(small_normal_data, prior, 3,
+                         GibbsConfig(iterations=60, burn_in=40, seed=14))
+
+    FIELDS = ("weights", "means", "variances", "allocations", "betas")
+
+    @pytest.mark.parametrize("rows", [
+        slice(2, 9, 3), slice(None), slice(5, 5), [4, 0, 4], np.array([19, 3]),
+        np.arange(20) % 2 == 0,
+    ], ids=["slice", "full-slice", "empty-slice", "list", "array", "mask"])
+    def test_rows_match_per_array_indexing(self, chain, rows):
+        out = chain[rows]
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(out, name), getattr(chain, name)[rows])
+        assert out.k == chain.k
+        assert out.allocation_fallbacks == chain.allocation_fallbacks
+
+    @pytest.mark.parametrize("t", [0, 7, -1, np.int64(3)])
+    def test_int_gives_one_draw_chain(self, chain, t):
+        one = chain[t]
+        assert len(one) == 1 and one.n == chain.n
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(one, name), getattr(chain, name)[[t]])
+        # the one-draw batch of the draw, as ParamsBatch[t] gives it
+        batch, expected = one.params_batch(), chain.params_batch()[t]
+        for name in ("weights", "means", "variances", "betas"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(expected, name))
+
+    def test_int_out_of_range(self, chain):
+        with pytest.raises(IndexError):
+            chain[len(chain)]
+
+    def test_fixed_prior_chain_keeps_no_betas(self, small_normal_data, fixed_prior):
+        chain = run_gibbs(small_normal_data, fixed_prior, 2,
+                          GibbsConfig(iterations=30, burn_in=20, seed=15))
+        assert chain[3].betas is None and chain[2:5].betas is None
 
 
 class TestSelectPivot:
@@ -272,15 +321,17 @@ class TestSelectPivot:
             GibbsConfig(iterations=51, burn_in=50, seed=9),
         )
         assert len(chain) == 1
-        params, alloc = select_pivot(chain, small_normal_data, fixed_prior)
-        np.testing.assert_array_equal(params.means, chain.means[0])
+        pivot = select_pivot(chain, small_normal_data, fixed_prior)
+        assert len(pivot) == 1
+        for name in ("weights", "means", "variances", "allocations"):
+            np.testing.assert_array_equal(getattr(pivot, name), getattr(chain, name))
 
     def test_argmax_property(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
             GibbsConfig(iterations=500, burn_in=100, seed=10),
         )
-        params, _ = select_pivot(chain, small_normal_data, fixed_prior)
+        params, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(params, fixed_prior) + log_likelihood(small_normal_data, params)
         lp = chain_log_posterior(chain, small_normal_data, fixed_prior)
         assert best == pytest.approx(lp.max())

@@ -9,12 +9,10 @@ from scipy import integrate
 
 from mixevidence import model
 from mixevidence.model import (
-    Allocation,
     ConditioningSet,
     Dataset,
     FixedPrior,
     HierarchicalPrior,
-    MixtureParams,
     ParamsBatch,
     log_likelihood_batch,
     log_prior_batch,
@@ -29,10 +27,13 @@ from mixevidence.numerics import (
 
 from conftest import random_params
 from reference import (
+    Allocation,
+    MixtureParams,
     SufficientStats,
     allocation_conditional,
     allocation_log_probs,
     beta_prior,
+    from_params,
     full_conditionals,
     log_block_density,
     log_likelihood,
@@ -93,7 +94,7 @@ class TestLikelihood:
 
     def test_batch_matches_scalar(self, small_normal_data):
         params = [random_params(2, seed) for seed in range(5)]
-        batch = ParamsBatch.from_params(params)
+        batch = from_params(params)
         got = log_likelihood_batch(small_normal_data, batch)
         for b, p in enumerate(params):
             assert got[b] == pytest.approx(log_likelihood(small_normal_data, p))
@@ -167,7 +168,7 @@ class TestPrior:
     def test_batch_matches_scalar(self, small_normal_data):
         prior = HierarchicalPrior.from_data(small_normal_data)
         params = [random_params(2, seed, beta=True) for seed in range(4)]
-        batch = ParamsBatch.from_params(params)
+        batch = from_params(params)
         got = log_prior_batch(batch, prior)
         for b, p in enumerate(params):
             assert got[b] == pytest.approx(log_prior(p, prior))
@@ -351,7 +352,7 @@ class TestConditioningSetEngine:
             [p.beta for p, _ in pairs] if hierarchical else None,
         )
         points = [random_params(k, rng, beta=hierarchical) for _ in range(B)]
-        batch = ParamsBatch.from_params(points)
+        batch = from_params(points)
         perms = permutation_matrix(k)[ROW_SETS[rows]]
         expected = np.empty((B, len(perms)))
         for b, theta in enumerate(points):
@@ -411,7 +412,7 @@ class TestConditioningSetEngine:
                                           np.stack([p.means for p, _ in pairs]),
                                           np.stack([a.labels for _, a in pairs]))
         points = [random_params(k, rng) for _ in range(B)]
-        batch = ParamsBatch.from_params(points)
+        batch = from_params(points)
         identity = np.array([[0, 1]])
         for budget in chunk_budgets(cond, identity):
             monkeypatch.setattr(model, "KERNEL_BUDGET", budget)
@@ -453,14 +454,14 @@ class TestConditioningSetEngine:
         cond = ConditioningSet.from_draws(small_normal_data, fixed_prior,
                                           rng.normal(0.0, 3.0, (J, k)),
                                           rng.integers(0, k, (J, small_normal_data.n)))
-        batch = ParamsBatch.from_params([random_params(k, rng) for _ in range(B)])
+        batch = from_params([random_params(k, rng) for _ in range(B)])
         cond.log_pooled_density(batch, np.array([[0, 1], [1, 0]]))
         assert cond.evaluations == B * 2 * J
 
     def test_rejects_malformed_permutations(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(21)
         cond = conditioning_set(small_normal_data, fixed_prior, rng, 2, 3)
-        batch = ParamsBatch.from_params([random_params(2, rng)])
+        batch = from_params([random_params(2, rng)])
         # [0, 2] would read component pair (1, 0) in place of (0, 2)
         for perms in ([[0, 2]], [[-1, 0]], [[0, 1, 2]]):
             with pytest.raises(ValueError, match="perms"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mixevidence.model import Dataset, FixedPrior, MixtureParams
+from mixevidence.model import Dataset, FixedPrior
 from mixevidence.oracle import (
     evidence_enumeration,
     evidence_quadrature_k1,
@@ -12,7 +12,7 @@ from mixevidence.oracle import (
     posterior_moments_k1,
 )
 
-from reference import log_likelihood, log_prior
+from reference import MixtureParams, log_likelihood, log_prior
 from test_estimators import TINY6_LOGE_K3, TINY8_LOGE_K1, TINY8_LOGE_K2
 
 

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
-from mixevidence.model import Dataset, FixedPrior, MixtureParams
+from mixevidence.model import Dataset, FixedPrior
 from mixevidence.numerics import RngStream, permutation_matrix
 from mixevidence.relabel import alignment, relabel_chain
 
-from conftest import random_params
-from reference import log_likelihood, log_prior, permute_labels, permute_params
+from reference import (
+    log_likelihood,
+    log_prior,
+    permute_labels,
+    permute_params,
+    scalar_draw,
+)
 
 
 def _chain_from_arrays(weights, means, variances, n_obs=10) -> GibbsChain:
@@ -32,8 +37,8 @@ def aligned_chain() -> GibbsChain:
     return _chain_from_arrays(weights, means, variances)
 
 
-def _reference(chain: GibbsChain) -> MixtureParams:
-    return chain.draw(0)[0]
+def _reference(chain: GibbsChain) -> GibbsChain:
+    return chain[0]
 
 
 class TestRelabelChain:
@@ -66,8 +71,8 @@ class TestRelabelChain:
         rel = relabel_chain(mixed, ref)
         for t in range(0, len(mixed), 7):
             row = rows[applied[t]]
-            params, alloc = mixed.draw(t)
-            out_params, out_alloc = rel.draw(t)
+            params, alloc = scalar_draw(mixed, t)
+            out_params, out_alloc = scalar_draw(rel, t)
             np.testing.assert_array_equal(permute_params(params, row).means, out_params.means)
             np.testing.assert_array_equal(permute_labels(alloc, row).labels, out_alloc.labels)
 
@@ -99,8 +104,26 @@ class TestRelabelChain:
         np.testing.assert_array_equal(again.allocations, base.allocations)
 
     def test_mismatched_reference_rejected(self, aligned_chain):
-        with pytest.raises(ValueError):
-            relabel_chain(aligned_chain, random_params(3, 0))
+        wider = _chain_from_arrays(np.full((1, 3), 1 / 3), np.zeros((1, 3)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="different number of components"):
+            relabel_chain(aligned_chain, wider)
+        with pytest.raises(ValueError, match="different number of components"):
+            alignment(aligned_chain, wider)
+
+    @pytest.mark.parametrize("draws", [0, 2])
+    def test_reference_of_other_length_rejected(self, aligned_chain, draws):
+        with pytest.raises(ValueError, match="one-draw chain"):
+            alignment(aligned_chain, aligned_chain[:draws])
+        with pytest.raises(ValueError, match="one-draw chain"):
+            relabel_chain(aligned_chain, aligned_chain[:draws])
+
+    def test_reference_indexing_forms_agree(self, aligned_chain):
+        """chain[t], chain[[t]] and chain[t:t + 1] are the same reference."""
+        mixed = permute_chain(aligned_chain, RngStream(5))
+        np.testing.assert_array_equal(alignment(mixed, aligned_chain[7]),
+                                      alignment(mixed, aligned_chain[[7]]))
+        np.testing.assert_array_equal(alignment(mixed, aligned_chain[7]),
+                                      alignment(mixed, aligned_chain[7:8]))
 
     def test_switching_chain_variance_shrinks(self):
         """On a naturally switching chain the aligned mean trace tightens."""
@@ -113,19 +136,19 @@ class TestRelabelChain:
             data, prior, 2, GibbsConfig(iterations=4_000, burn_in=500, seed=4),
         ), RngStream(4))
         assert chain.switch_flags.sum() > 100  # permutation moves force switching
-        ref = select_pivot(chain, data, prior)[0]
-        rel = relabel_chain(chain, ref)
+        rel = relabel_chain(chain, select_pivot(chain, data, prior))
         for i in range(2):
             assert rel.means[:, i].std() < 0.8 * chain.means[:, i].std()
 
 
 class TestReference:
     def test_single_draw(self, aligned_chain):
-        one = aligned_chain.subset([0])
+        one = aligned_chain[0]
         data = Dataset(np.zeros(3) + 0.1)
         prior = FixedPrior()
-        ref = select_pivot(one, data, prior)[0]
-        np.testing.assert_array_equal(ref.means, one.means[0])
+        ref = select_pivot(one, data, prior)
+        assert len(ref) == 1
+        np.testing.assert_array_equal(ref.means, one.means)
 
     def test_reference_is_chain_map(self, small_normal_data, fixed_prior):
         from mixevidence.gibbs import chain_log_posterior
@@ -134,7 +157,7 @@ class TestReference:
             small_normal_data, fixed_prior, 2,
             GibbsConfig(iterations=300, burn_in=100, seed=5),
         )
-        ref = select_pivot(chain, small_normal_data, fixed_prior)[0]
+        ref, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(ref, fixed_prior) + log_likelihood(small_normal_data, ref)
         assert best == pytest.approx(
             chain_log_posterior(chain, small_normal_data, fixed_prior).max()
