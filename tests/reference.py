@@ -9,14 +9,16 @@ validated scalar state (`MixtureParams`, `Allocation`) with conversions to
 and from the library's rows, small distribution value objects with exact
 normalized log-densities, the scalar likelihood and prior, the sufficient
 statistics of an allocation, the full conditionals, and the block density
-pi(theta | theta', z', x) with an exact sampler.  The tests check the
-batched code against it.
+pi(theta | theta', z', x) with an exact sampler, and the relabelling of a
+chain towards a reference by exhaustive search over S_k.  The tests check
+the batched code against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -267,6 +269,28 @@ def permute_params(params: MixtureParams, row) -> MixtureParams:
 def permute_labels(alloc: Allocation, row) -> Allocation:
     """`alloc` relabelled to match `permute_params(., row)`."""
     return Allocation(np.argsort(row)[alloc.labels])
+
+
+def nearest_relabelling(chain: GibbsChain, reference: GibbsChain) -> np.ndarray:
+    """Per draw, the gather row that brings it closest to the one draw of
+    `reference`, by exhaustive search over all k! label permutations.
+
+    The distance is the squared Euclidean one in (mean, log variance, log
+    weight) coordinates, each divided by its standard deviation pooled over
+    every draw and component of the chain.  Returns a (T, k) array of rows.
+    """
+    def coords(weights, means, variances):
+        return np.stack([means, np.log(variances), np.log(np.maximum(weights, 1e-300))],
+                        axis=-1)
+
+    points = coords(chain.weights, chain.means, chain.variances)        # (T, k, 3)
+    target = coords(reference.weights[0], reference.means[0], reference.variances[0])
+    scales = points.reshape(-1, 3).std(axis=0)
+    scales[scales == 0] = 1.0
+    rows = np.array(list(permutations(range(chain.k))), dtype=np.intp)
+    dists = np.stack([np.sum(((points[:, row] - target) / scales) ** 2, axis=(1, 2))
+                      for row in rows], axis=1)
+    return rows[np.argmin(dists, axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,26 @@ class TestPermutationStep:
         for name in ("weights", "means", "variances", "allocations"):
             np.testing.assert_array_equal(getattr(same, name), getattr(chain, name))
 
+    # CRC32 of the relabelled arrays of a fixed synthetic chain: the stream
+    # permute_chain draws and the row each draw maps to are frozen.
+    PERMUTE_CRC32 = {
+        2: {"weights": 911254864, "means": 3354075279, "allocations": 909695759},
+        3: {"weights": 1487068238, "means": 2966974753, "allocations": 880550484},
+        4: {"weights": 1284043497, "means": 3961333321, "allocations": 553883597},
+    }
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_permute_chain_pinned(self, k):
+        rng = np.random.default_rng(k)
+        T, n = 400, 25
+        chain = GibbsChain(k=k, weights=rng.dirichlet(np.ones(k), size=T),
+                           means=rng.normal(size=(T, k)), variances=rng.gamma(2.0, size=(T, k)),
+                           allocations=rng.integers(k, size=(T, n)).astype(np.int16), betas=None)
+        out = permute_chain(chain, RngStream(21).substream("permute"))
+        got = {name: zlib.crc32(np.ascontiguousarray(getattr(out, name)).tobytes())
+               for name in ("weights", "means", "allocations")}
+        assert got == self.PERMUTE_CRC32[k]
+
     def test_log_likelihood_invariant(self, small_normal_data, chain):
         before = log_likelihood_batch(small_normal_data, chain.params_batch())
         moved = permute_chain(chain, RngStream(9)).params_batch()

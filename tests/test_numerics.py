@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -69,6 +70,11 @@ class TestPermutations:
     def test_lexicographic_order(self):
         rows = [tuple(row) for row in permutation_matrix(3)]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_itertools_order(self, k):
+        np.testing.assert_array_equal(permutation_matrix(k),
+                                      list(itertools.permutations(range(k))))
 
     def test_capacity_error_names_cost(self):
         with pytest.raises(PermutationCapacityError, match="362880"):

@@ -9,6 +9,7 @@ from mixevidence.relabel import alignment, relabel_chain
 from reference import (
     log_likelihood,
     log_prior,
+    nearest_relabelling,
     permute_labels,
     permute_params,
     scalar_draw,
@@ -139,6 +140,18 @@ class TestRelabelChain:
         rel = relabel_chain(chain, select_pivot(chain, data, prior))
         for i in range(2):
             assert rel.means[:, i].std() < 0.8 * chain.means[:, i].std()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_alignment_matches_exhaustive_search(k):
+    """The alignment is the permutation of least distance over all of S_k."""
+    rng = np.random.default_rng(40 + k)
+    T = 300
+    chain = _chain_from_arrays(rng.dirichlet(np.full(k, 2.0), size=T),
+                               rng.normal(0.0, 3.0, (T, k)), rng.gamma(3.0, 1.0, (T, k)))
+    for ref in (chain[0], chain[T // 2]):
+        np.testing.assert_array_equal(permutation_matrix(k)[alignment(chain, ref)],
+                                      nearest_relabelling(chain, ref))
 
 
 class TestReference:
