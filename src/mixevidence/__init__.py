@@ -5,16 +5,19 @@ marginal-likelihood estimators: candidate-point (Chib-style) identities,
 importance sampling with symmetrized Rao-Blackwell proposals built from
 relabelled Gibbs draws, a truncated variant that skips numerically
 negligible permutation clusters, and iterative bridge sampling.  A label
-permutation is a row of `permutation_matrix(k)`.  A parameter state is a
-row of a `GibbsChain` or a `ParamsBatch`, and every density is evaluated on
-batches; the pivot, like any single draw, is a one-draw chain.
+permutation applied to draws is a (k,) gather row (`permutation_rows`
+decodes one from its lexicographic index); only the permutation clusters
+of the symmetrized proposals and of Chib's permutation average enumerate
+all of S_k.  A parameter state is a row of a `GibbsChain` or a
+`ParamsBatch`, and every density is evaluated on batches; the pivot, like
+any single draw, is a one-draw chain.
 """
 
 from .numerics import (
     PermutationCapacityError,
     RngStream,
     log_sum_exp,
-    permutation_matrix,
+    permutation_rows,
 )
 from .model import (
     Dataset,

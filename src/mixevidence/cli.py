@@ -82,7 +82,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    config = _config_from_args(args, out=None)
+    config = _config_from_args(args, estimators=(), out=None)  # a chain, no estimates
     data = resolve_dataset(config)
     prior = parse_prior(config.prior, data)
     stream = RngStream(config.seed).substream("replicate", 0)

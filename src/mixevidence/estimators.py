@@ -30,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import GibbsChain, chain_mean_stderr, permute_chain
+from .gibbs import GibbsChain, chain_mean_stderr, permute_chain, permute_draws
 from .model import (
     ConditioningSet,
     Dataset,
     ParamsBatch,
     PriorSpec,
-    log_likelihood_batch,
-    log_prior_batch,
+    log_posterior_batch,
 )
 from .numerics import as_generator, log_sum_exp, permutation_matrix
 
@@ -278,8 +277,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
     identity = np.arange(k, dtype=np.intp)[None, :]
     # the pivot's relabellings (permutation_averaged) or the pivot alone
     rows = permutation_matrix(k) if mode == "permutation_averaged" else identity
-    batch = ParamsBatch(pivot.weights[0][rows], pivot.means[0][rows], pivot.variances[0][rows],
-                        None if pivot.betas is None else np.repeat(pivot.betas, len(rows)))
+    batch = permute_draws(pivot[np.zeros(len(rows), np.intp)], rows).params_batch()
     terms = cond.log_density_terms(batch, identity)[:, 0, :]        # (P, T)
     # per-draw series pooled over relabellings, for diagnostics
     per_draw = log_sum_exp(terms, axis=0) - math.log(len(rows))
@@ -290,7 +288,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
             "posterior ordinate underflowed: the pivot is unsupported by the chain"
         )
 
-    log_ev = _log_target(data, prior, pivot.params_batch())[0] - log_ordinate
+    log_ev = log_posterior_batch(data, prior, pivot.params_batch())[0] - log_ordinate
     if mode == "k_fact":
         log_ev += math.log(math.factorial(k))
 
@@ -318,10 +316,6 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
 # ---------------------------------------------------------------------------
 # Importance sampling with pooled symmetrized proposals
 # ---------------------------------------------------------------------------
-
-def _log_target(data, prior, batch: ParamsBatch) -> np.ndarray:
-    return log_prior_batch(batch, prior) + log_likelihood_batch(data, batch)
-
 
 def _rank_contributions(log_h: np.ndarray):
     """Per-point normalized contributions, their means and the ranking."""
@@ -405,7 +399,7 @@ def importance_estimate(proposal: DualProposal, T: int, rng, truncated: bool = F
     else:
         log_q = proposal.log_q(batch)
 
-    log_target = _log_target(proposal.data, proposal.prior, batch)
+    log_target = log_posterior_batch(proposal.data, proposal.prior, batch)
     log_w = log_target - log_q
     if not np.any(np.isfinite(log_w)):
         raise EstimationFailureError("importance estimation failed: all weights zero")
@@ -461,11 +455,11 @@ def bridge_sampling(data: Dataset, prior: PriorSpec, proposal: DualProposal,
 
     q_batch = proposal.sample(M1, gen)
     lq1 = proposal.log_q(q_batch)
-    lp1 = _log_target(data, prior, q_batch)
+    lp1 = log_posterior_batch(data, prior, q_batch)
 
     post = _subsample(posterior_chain, M2, "M2", gen).params_batch()
     lq2 = proposal.log_q(post)
-    lp2 = _log_target(data, prior, post)
+    lp2 = log_posterior_batch(data, prior, post)
 
     log_m1, log_m2 = math.log(M1), math.log(M2)
     log_e = log_sum_exp(lp1 - lq1) - log_m1  # plain IS initial value

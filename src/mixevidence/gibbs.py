@@ -16,9 +16,9 @@ the shared scale.  The first sweep starts from the quantile allocation and
 skips the `gumbel` draw.  A change of these calls, their order or their
 arithmetic changes every chain.
 
-Stored draws are relabelled only afterwards, by rows of
-`permutation_matrix(k)` (`permute_draws`): uniformly at random in
-`permute_chain`, or towards a reference in `relabel.relabel_chain`.
+Stored draws are relabelled only afterwards, each by a (k,) gather row
+(`permute_draws`): uniformly at random in `permute_chain`, or towards a
+reference in `relabel.relabel_chain`.
 
 `chain[rows]` is the chain of the draws at `rows`, so a single draw is a
 one-draw chain.  The pivot is one: `select_pivot` returns the stored draw
@@ -40,12 +40,11 @@ from .model import (
     ParamsBatch,
     PriorSpec,
     beta_conditional,
-    log_likelihood_batch,
-    log_prior_batch,
+    log_posterior_batch,
     mean_conditional,
     variance_conditional,
 )
-from .numerics import LOG_2PI, as_generator, permutation_matrix
+from .numerics import LOG_2PI, as_generator, permutation_rows
 
 __all__ = [
     "GibbsConfig",
@@ -222,49 +221,43 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
                       allocation_fallbacks=total_fallbacks)
 
 
-def permute_draws(chain: GibbsChain, idx) -> GibbsChain:
-    """Relabel draw t, components and allocations, by row idx[t] of permutation_matrix(k)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    rows = permutation_matrix(chain.k)
-    gather = rows[idx]
-    inv = np.argsort(rows, axis=1)
+def permute_draws(chain: GibbsChain, perms) -> GibbsChain:
+    """Relabel draw t, components and allocations, by the gather row perms[t]:
+    label i takes the values of label perms[t, i]."""
+    perms = np.asarray(perms, dtype=np.intp)
+    inverse = np.argsort(perms, axis=1)
     return replace(
         chain,
-        weights=np.take_along_axis(chain.weights, gather, axis=1),
-        means=np.take_along_axis(chain.means, gather, axis=1),
-        variances=np.take_along_axis(chain.variances, gather, axis=1),
-        allocations=inv[idx[:, None], chain.allocations.astype(np.intp)].astype(
-            chain.allocations.dtype
-        ),
+        weights=np.take_along_axis(chain.weights, perms, axis=1),
+        means=np.take_along_axis(chain.means, perms, axis=1),
+        variances=np.take_along_axis(chain.variances, perms, axis=1),
+        allocations=np.take_along_axis(inverse, chain.allocations.astype(np.intp),
+                                       axis=1).astype(chain.allocations.dtype),
     )
 
 
 def permute_chain(chain: GibbsChain, rng) -> GibbsChain:
     """Relabel every draw by an independent, uniformly drawn label permutation.
 
-    Under the exchangeable priors of this package this has the law of the
-    random permutation sampler, which relabels inside every sweep.
+    The draw is an index into the lexicographic order of S_k, decoded by
+    `permutation_rows`.  Under the exchangeable priors of this package this
+    has the law of the random permutation sampler, which relabels inside
+    every sweep.
     """
     idx = as_generator(rng).integers(math.factorial(chain.k), size=len(chain))
-    return permute_draws(chain, idx)
-
-
-def chain_log_posterior(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> np.ndarray:
-    """log prior + log likelihood of every stored draw."""
-    batch = chain.params_batch()
-    return log_prior_batch(batch, prior) + log_likelihood_batch(data, batch)
+    return permute_draws(chain, permutation_rows(idx, chain.k))
 
 
 def select_pivot(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> GibbsChain:
     """The stored draw with the highest joint posterior density, as a one-draw chain."""
     if len(chain) == 0:
         raise ValueError("cannot select a pivot from an empty chain")
-    return chain[int(np.argmax(chain_log_posterior(chain, data, prior)))]
+    return chain[int(np.argmax(log_posterior_batch(data, prior, chain.params_batch())))]
 
 
 def export_chain_csv(chain: GibbsChain, data: Dataset, prior: PriorSpec, path) -> None:
     """One row per draw: weights, means, variances, [beta,] z hash, log posterior."""
-    logpost = chain_log_posterior(chain, data, prior)
+    logpost = log_posterior_batch(data, prior, chain.params_batch())
     k = chain.k
     header = (
         [f"weight_{i}" for i in range(k)]

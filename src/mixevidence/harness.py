@@ -98,7 +98,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
-        self.gibbs_config()  # iterations, burn_in and thinning
+        kept = self.gibbs_config().kept  # checks iterations, burn_in and thinning
+        # the numbers of distinct chain draws each estimator subsamples
+        subsampled = {"sym_is": {"J": self.J}, "sym_is_trunc": {"J": self.J},
+                      "mixture_is": {"J1": self.effective_J1},
+                      "bridge": {"bridge_J1": self.bridge_J1, "M2": self.M2}}
+        for method in self.estimators:
+            for name, size in subsampled.get(method, {}).items():
+                if size > kept:
+                    raise ValueError(f"{name}={size} ({method}) exceeds the {kept} kept draws")
 
     @property
     def effective_J1(self) -> int:

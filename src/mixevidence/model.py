@@ -71,6 +71,7 @@ __all__ = [
     "ConditioningSet",
     "log_likelihood_batch",
     "log_prior_batch",
+    "log_posterior_batch",
 ]
 
 
@@ -324,6 +325,12 @@ def log_prior_batch(batch: ParamsBatch, prior: PriorSpec) -> np.ndarray:
             axis=1,
         )
     return out
+
+
+def log_posterior_batch(data: Dataset, prior: PriorSpec, batch: ParamsBatch) -> np.ndarray:
+    """Unnormalized log posterior, log prior + log likelihood, of every state:
+    the target density of every estimator."""
+    return log_prior_batch(batch, prior) + log_likelihood_batch(data, batch)
 
 
 @dataclass

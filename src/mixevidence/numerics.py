@@ -4,15 +4,16 @@ Everything downstream (mixture densities, importance weights, cluster
 contributions) is accumulated in log space; probabilities are only
 exponentiated after a max-shift.  The log-density kernels are exact and
 normalized, since the evidence identities this package implements
-require normalized conditionals.  A label permutation is always a row of
-`permutation_matrix(k)`.
+require normalized conditionals.  A label permutation is a (k,) gather
+row.  `permutation_rows` decodes rows of the lexicographic order of S_k
+from their indices, so only `permutation_matrix`, which lists all k! of
+them, is bounded by the enumeration cap.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from itertools import permutations
 
 import numpy as np
 from scipy.special import gammaln
@@ -58,13 +59,29 @@ def log_sum_exp_into(values: np.ndarray, axis=None) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def permutation_matrix(k: int) -> np.ndarray:
-    """The (k!, k) array of all label permutations, lexicographic, identity first.
+def permutation_rows(index, k: int) -> np.ndarray:
+    """Rows `index` (integers in [0, k!)) of the lexicographic order of S_k, as
+    an (len(index), k) array.
 
-    A row is a gather: relabelling a component-indexed array by `row` gives
-    label i the values of label row[i], and an allocation vector `z` follows
-    as argsort(row)[z].
+    Each row is decoded place by place from the factorial number system,
+    O(k^2) per row whatever k! is.  A row is a gather: relabelling a
+    component-indexed array by `row` gives label i the values of label
+    row[i], and an allocation vector `z` follows as argsort(row)[z].
     """
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    n = index.size
+    unused = np.tile(np.arange(k, dtype=np.intp), (n, 1))  # labels not yet placed, in order
+    rows = np.empty((n, k), dtype=np.intp)
+    for place in range(k):
+        left = k - place
+        digit = index // math.factorial(left - 1) % left
+        rows[:, place] = unused[np.arange(n), digit]
+        unused = unused[np.arange(left) != digit[:, None]].reshape(n, left - 1)
+    return rows
+
+
+def permutation_matrix(k: int) -> np.ndarray:
+    """The (k!, k) array of all label permutations, lexicographic, identity first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > MAX_ENUMERATED_COMPONENTS:
@@ -72,7 +89,7 @@ def permutation_matrix(k: int) -> np.ndarray:
             f"enumerating S_{k} needs {math.factorial(k)} permutations "
             f"(> cap {MAX_ENUMERATED_COMPONENTS}!={math.factorial(MAX_ENUMERATED_COMPONENTS)})"
         )
-    return np.array(list(permutations(range(k))), dtype=np.intp)
+    return permutation_rows(np.arange(math.factorial(k)), k)
 
 
 # ---------------------------------------------------------------------------

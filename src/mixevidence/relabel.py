@@ -3,17 +3,19 @@
 Label switching is removed by recentering: each draw is mapped by the
 label permutation that brings it closest to a reference draw, a one-draw
 chain (in the pipeline, the pivot `gibbs.select_pivot` returns), in
-standardized (mean, log variance, log weight) coordinates, searching all
-k! permutations exactly.  `alignment` returns the per-draw rows of
-`permutation_matrix(k)`, so the transform is reproducible and invertible.
+standardized (mean, log variance, log weight) coordinates.  The distance
+is a sum over matched components, so the closest permutation is a linear
+assignment on the k x k matrix of component-pair costs, solved exactly
+without enumerating S_k.  `alignment` returns the per-draw gather rows, so
+the transform is reproducible and invertible.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .gibbs import GibbsChain, permute_draws
-from .numerics import permutation_matrix
 
 __all__ = ["alignment", "relabel_chain"]
 
@@ -24,14 +26,18 @@ def _coords(weights, means, variances) -> np.ndarray:
 
 
 def alignment(chain: GibbsChain, reference: GibbsChain) -> np.ndarray:
-    """Per draw, the row of permutation_matrix(k) that brings it closest to
-    the one draw of `reference`; ties pick the lexicographically first row."""
+    """Per draw, the (k,) gather row that brings it closest to the one draw
+    of `reference`, as a (T, k) array.
+
+    Row t minimizes the sum over labels i of cost[t, i, row[i]], the
+    standardized squared distance between reference component i and
+    component row[i] of draw t.  Ties follow `linear_sum_assignment`.
+    """
     k = chain.k
     if reference.k != k:
         raise ValueError("reference has a different number of components")
     if len(reference) != 1:
         raise ValueError(f"reference must be a one-draw chain, not {len(reference)} draws")
-    rows = permutation_matrix(k)
 
     coords = _coords(chain.weights, chain.means, chain.variances)  # (T, k, 3)
     ref = _coords(reference.weights[0], reference.means[0], reference.variances[0])  # (k, 3)
@@ -43,13 +49,16 @@ def alignment(chain: GibbsChain, reference: GibbsChain) -> np.ndarray:
     coords = coords / scales
     ref = ref / scales
 
-    dists = np.empty((len(chain), len(rows)))
-    for p, row in enumerate(rows):
-        dists[:, p] = np.sum((coords[:, row, :] - ref[None, :, :]) ** 2, axis=(1, 2))
-    return np.argmin(dists, axis=1)
+    # (T, i, c), summed per coordinate so that no (T, k, k, 3) temporary is made
+    cost = np.zeros((len(chain), k, k))
+    for d in range(3):
+        cost += (coords[:, None, :, d] - ref[None, :, None, d]) ** 2
+    rows = np.empty((len(chain), k), dtype=np.intp)
+    for t, pair_cost in enumerate(cost):
+        rows[t] = linear_sum_assignment(pair_cost)[1]
+    return rows
 
 
 def relabel_chain(chain: GibbsChain, reference: GibbsChain) -> GibbsChain:
     """Every draw relabelled by its `alignment` to `reference`."""
     return permute_draws(chain, alignment(chain, reference))
-

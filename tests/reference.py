@@ -259,8 +259,8 @@ def log_prior(params: MixtureParams, prior: PriorSpec) -> float:
 
 
 def permute_params(params: MixtureParams, row) -> MixtureParams:
-    """`params` relabelled by a row of `permutation_matrix(k)`: label i takes
-    the values of label row[i]."""
+    """`params` relabelled by the gather row `row`: label i takes the values
+    of label row[i]."""
     row = np.asarray(row)
     return MixtureParams(params.weights[row], params.means[row], params.variances[row],
                          params.beta)

@@ -38,8 +38,8 @@ def test_gibbs_exports_chain(tmp_path):
     assert len(rows) == 200
     assert "log_posterior" in rows[0]
     # the chain of replicate 0 of the equivalent ExperimentConfig, to the last bit
-    config = ExperimentConfig(dataset="d1", k=2, prior="fixed:2,3", iterations=300,
-                              burn_in=100, seed=1)
+    config = ExperimentConfig(dataset="d1", k=2, prior="fixed:2,3", estimators=(),
+                              iterations=300, burn_in=100, seed=1)
     data = resolve_dataset(config)
     chain = run_gibbs(data, parse_prior(config.prior, data), 2, config.gibbs_config(),
                       rng=RngStream(1).substream("replicate", 0).substream("gibbs"))
@@ -134,8 +134,8 @@ def test_calibrate_describes_the_truncated_row(tmp_path, capsys):
 
 def test_estimate_reports_failure_nonzero_exit(tmp_path):
     code = main([
-        "estimate", "--estimator", "bridge", "--dataset", "d1", "--k", "1",
-        "--prior", "fixed:2,3", "--M2", "100000",
+        "estimate", "--estimator", "chib_perm", "--dataset", "d1", "--k", "9",
+        "--prior", "fixed:2,3",
         "--T", "100", "--iterations", "300", "--burn-in", "100",
         "--seed", "6", "--n", "20",
     ])

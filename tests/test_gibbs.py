@@ -12,7 +12,6 @@ from mixevidence.gibbs import (
     GibbsChain,
     GibbsConfig,
     _sample_allocation,
-    chain_log_posterior,
     chain_mean_stderr,
     export_chain_csv,
     integrated_autocorr_time,
@@ -22,8 +21,8 @@ from mixevidence.gibbs import (
     select_pivot,
 )
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
-from mixevidence.model import HierarchicalPrior, log_likelihood_batch
-from mixevidence.numerics import RngStream, permutation_matrix
+from mixevidence.model import HierarchicalPrior, log_likelihood_batch, log_posterior_batch
+from mixevidence.numerics import RngStream, permutation_matrix, permutation_rows
 from mixevidence.oracle import log_marginal_group, posterior_moments_k1
 from mixevidence.relabel import relabel_chain
 
@@ -162,7 +161,7 @@ class TestRunGibbs:
     @pytest.mark.parametrize("dataset,k,prior", sorted(CHAIN_CRC32))
     def test_chain_checksum_pinned(self, dataset, k, prior):
         """The sweep's arithmetic and stream use are frozen: refactors keep chains bit-identical."""
-        cfg = ExperimentConfig(dataset=dataset, k=k, prior=prior,
+        cfg = ExperimentConfig(dataset=dataset, k=k, prior=prior, estimators=(),
                                iterations=2_000, burn_in=500, seed=201)
         data = resolve_dataset(cfg)
         chain = run_gibbs(data, parse_prior(prior, data), k, cfg.gibbs_config(),
@@ -213,7 +212,7 @@ class TestPermutationStep:
                          GibbsConfig(iterations=300, burn_in=100, seed=13))
 
     def test_identity_leaves_draw(self, chain):
-        same = permute_draws(chain, np.zeros(len(chain), dtype=int))  # row 0 is the identity
+        same = permute_draws(chain, np.tile(np.arange(chain.k), (len(chain), 1)))
         for name in ("weights", "means", "variances", "allocations"):
             np.testing.assert_array_equal(getattr(same, name), getattr(chain, name))
 
@@ -258,6 +257,24 @@ class TestPermutationStep:
         se = math.sqrt(trials * (1 / 6) * (5 / 6))
         assert np.all(np.abs(counts - expected) < 4 * se)
 
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_rows_decoded_beyond_enumeration_cap(self, k):
+        """Past the cap on listing S_k, each draw still takes the decoded row of
+        its uniform index, and its allocations follow its components."""
+        T = 300
+        chain = GibbsChain(k=k, weights=np.full((T, k), 1 / k),
+                           means=np.tile(np.arange(k, dtype=float), (T, 1)),
+                           variances=np.ones((T, k)),
+                           allocations=np.tile(np.arange(k), (T, 2)).astype(np.int16),
+                           betas=None)
+        out = permute_chain(chain, RngStream(k))
+        # the means of a draw relabelled by a row are the row itself
+        idx = RngStream(k).generator.integers(math.factorial(k), size=T)
+        np.testing.assert_array_equal(out.means, permutation_rows(idx, k))
+        np.testing.assert_array_equal(np.sort(out.means, axis=1), chain.means)
+        np.testing.assert_array_equal(np.take_along_axis(out.means, out.allocations, 1),
+                                      np.take_along_axis(chain.means, chain.allocations, 1))
+
     def test_switch_flags_describe_own_draws(self, chain):
         """Derived chains flag the switches of their own means, not their parent's."""
         derived = {
@@ -279,8 +296,8 @@ class TestPermutationStep:
         )
         permuted = permute_chain(chain, RngStream(8))
         # per-draw joint posterior is invariant under relabelling
-        base = chain_log_posterior(chain, small_normal_data, fixed_prior)
-        moved = chain_log_posterior(permuted, small_normal_data, fixed_prior)
+        base = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
+        moved = log_posterior_batch(small_normal_data, fixed_prior, permuted.params_batch())
         np.testing.assert_allclose(moved, base, atol=1e-9)
         # allocations stay consistent with their draw's component order
         t = 3
@@ -353,7 +370,7 @@ class TestSelectPivot:
         )
         params, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(params, fixed_prior) + log_likelihood(small_normal_data, params)
-        lp = chain_log_posterior(chain, small_normal_data, fixed_prior)
+        lp = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
         assert best == pytest.approx(lp.max())
         assert np.all(best >= lp - 1e-12)
 
@@ -362,7 +379,7 @@ class TestSelectPivot:
             small_normal_data, fixed_prior, 2,
             GibbsConfig(iterations=500, burn_in=100, seed=11),
         )
-        lp = chain_log_posterior(chain, small_normal_data, fixed_prior)
+        lp = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
         assert lp.max() >= np.median(lp)
 
 
@@ -379,7 +396,7 @@ class TestExport:
         assert len(rows) == len(chain)
         got = np.array([float(r["mean_0"]) for r in rows])
         np.testing.assert_allclose(got, chain.means[:, 0])
-        lp = chain_log_posterior(chain, small_normal_data, fixed_prior)
+        lp = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
         np.testing.assert_allclose(
             [float(r["log_posterior"]) for r in rows], lp, rtol=1e-12
         )

@@ -63,6 +63,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="thinning"):
             ExperimentConfig(thinning=0)
 
+    def test_subsample_sizes_checked_against_kept_draws(self):
+        small = dict(iterations=400, burn_in=100, J=10, J1=10, bridge_J1=10, M2=10)  # 300 kept
+        for method, field_name in (("sym_is", "J"), ("sym_is_trunc", "J"),
+                                   ("mixture_is", "J1"), ("bridge", "bridge_J1"),
+                                   ("bridge", "M2")):
+            ExperimentConfig(estimators=(method,), **{**small, field_name: 300})
+            message = rf"^{field_name}=301 \({method}\) exceeds the 300 kept draws$"
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(estimators=(method,), **{**small, field_name: 301})
+        # the default J1, min(100 k!, 5000), is checked too
+        with pytest.raises(ValueError, match=r"^J1=600 \(mixture_is\)"):
+            ExperimentConfig(k=3, estimators=("mixture_is",), **{**small, "J1": None})
+        # only the estimators the config requests are checked
+        ExperimentConfig(estimators=("chib_kfact", "chib_perm", "plugin_is"),
+                         **{**small, "J": 10_000, "J1": 10_000, "bridge_J1": 10_000,
+                            "M2": 10_000})
+        assert _tiny_config(k=3).effective_J1 == 600 > _tiny_config(k=3).gibbs_config().kept
+
     def test_effective_j1_default(self):
         assert ExperimentConfig(k=2).effective_J1 == 200
         assert ExperimentConfig(k=6).effective_J1 == 5_000
@@ -127,13 +145,24 @@ class TestRunExperiment:
             assert abs(full[0]["log_evidence"] - trunc[0]["log_evidence"]) < 1e-6
 
     def test_failure_isolated(self):
-        # bridge M2 larger than the chain: that row fails, others survive
-        cfg = _tiny_config(estimators=("chib_kfact", "bridge"), M2=10_000, replicates=1)
+        # at k=9, S_k is too large to list: that row fails, others survive
+        cfg = _tiny_config(k=9, estimators=("chib_perm", "chib_kfact"), replicates=1)
         rec = run_experiment(cfg)
         by_method = {r["method"]: r for r in rec.rows}
-        assert by_method["bridge"]["error"]
+        assert by_method["chib_perm"]["error"].startswith("PermutationCapacityError")
         assert not by_method["chib_kfact"]["error"]
         assert "log_evidence" in by_method["chib_kfact"]
+
+    def test_k9_fails_only_where_clusters_are_enumerated(self):
+        config = _tiny_config(k=9, estimators=KNOWN_ESTIMATORS, J1=50, replicates=1)
+        data = resolve_dataset(config)
+        rows = run_replicate(config, data, parse_prior(config.prior, data), 0)
+        errors = {row["method"]: row["error"] for row in rows}
+        for method in ("chib_kfact", "mixture_is", "bridge"):
+            assert errors.pop(method) == "", method
+        assert sorted(errors) == ["chib_perm", "plugin_is", "sym_is", "sym_is_trunc"]
+        for method, error in errors.items():
+            assert error.startswith("PermutationCapacityError: enumerating S_9"), method
 
     def test_threads_reproduce_sequential(self):
         seq = run_experiment(_tiny_config())

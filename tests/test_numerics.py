@@ -15,6 +15,7 @@ from mixevidence.numerics import (
     as_generator,
     log_sum_exp,
     permutation_matrix,
+    permutation_rows,
 )
 
 from reference import Categorical, Dirichlet, Gamma, InverseGamma, Normal, log_pdf, sample
@@ -73,8 +74,18 @@ class TestPermutations:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_itertools_order(self, k):
+        np.testing.assert_array_equal(permutation_rows(np.arange(math.factorial(k)), k),
+                                      list(itertools.permutations(range(k))))
         np.testing.assert_array_equal(permutation_matrix(k),
                                       list(itertools.permutations(range(k))))
+
+    @pytest.mark.parametrize("k", [9, 12, 20])
+    def test_rows_beyond_the_enumeration_cap(self, k):
+        last = math.factorial(k) - 1
+        rows = permutation_rows([0, last, last // 3], k)
+        np.testing.assert_array_equal(rows[0], np.arange(k))
+        np.testing.assert_array_equal(rows[1], np.arange(k)[::-1])
+        np.testing.assert_array_equal(np.sort(rows, axis=1), np.tile(np.arange(k), (3, 1)))
 
     def test_capacity_error_names_cost(self):
         with pytest.raises(PermutationCapacityError, match="362880"):
@@ -94,7 +105,7 @@ class TestPermutations:
         labels = np.tile([0, 1, 2, 2], (P, 1)).astype(np.int16)
         chain = GibbsChain(k=k, weights=np.full((P, k), 1 / k), means=values,
                            variances=np.ones((P, k)), allocations=labels, betas=None)
-        moved = permute_draws(chain, np.arange(P))
+        moved = permute_draws(chain, permutation_matrix(k))
         np.testing.assert_array_equal(moved.means, values[0][permutation_matrix(k)])
         np.testing.assert_array_equal(np.take_along_axis(moved.means, moved.allocations, 1),
                                       np.take_along_axis(values, labels, 1))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
-from mixevidence.model import Dataset, FixedPrior
-from mixevidence.numerics import RngStream, permutation_matrix
+from mixevidence.model import Dataset, FixedPrior, log_posterior_batch
+from mixevidence.numerics import RngStream
 from mixevidence.relabel import alignment, relabel_chain
 
 from reference import (
@@ -45,7 +45,7 @@ def _reference(chain: GibbsChain) -> GibbsChain:
 class TestRelabelChain:
     def test_aligned_chain_gets_identities(self, aligned_chain):
         ref = _reference(aligned_chain)
-        assert np.all(alignment(aligned_chain, ref) == 0)
+        np.testing.assert_array_equal(alignment(aligned_chain, ref), [[0, 1]] * 50)
         rel = relabel_chain(aligned_chain, ref)
         np.testing.assert_array_equal(rel.means, aligned_chain.means)
 
@@ -59,7 +59,7 @@ class TestRelabelChain:
             betas=None,
         )
         ref = _reference(aligned_chain)
-        assert np.all(alignment(flipped, ref) == 1)  # the swap is row 1 for k=2
+        np.testing.assert_array_equal(alignment(flipped, ref), [[1, 0]] * 50)
         rel = relabel_chain(flipped, ref)
         np.testing.assert_allclose(rel.means, aligned_chain.means)
         np.testing.assert_array_equal(rel.allocations, aligned_chain.allocations)
@@ -67,11 +67,10 @@ class TestRelabelChain:
     def test_recorded_permutation_reproduces_output(self, aligned_chain):
         mixed = permute_chain(aligned_chain, RngStream(1))
         ref = _reference(aligned_chain)
-        rows = permutation_matrix(2)
         applied = alignment(mixed, ref)
         rel = relabel_chain(mixed, ref)
         for t in range(0, len(mixed), 7):
-            row = rows[applied[t]]
+            row = applied[t]
             params, alloc = scalar_draw(mixed, t)
             out_params, out_alloc = scalar_draw(rel, t)
             np.testing.assert_array_equal(permute_params(params, row).means, out_params.means)
@@ -81,7 +80,7 @@ class TestRelabelChain:
         mixed = permute_chain(aligned_chain, RngStream(2))
         ref = _reference(aligned_chain)
         once = relabel_chain(mixed, ref)
-        assert np.all(alignment(once, ref) == 0)
+        np.testing.assert_array_equal(alignment(once, ref), [[0, 1]] * 50)
         twice = relabel_chain(once, ref)
         np.testing.assert_array_equal(twice.means, once.means)
 
@@ -90,8 +89,7 @@ class TestRelabelChain:
         ref = _reference(aligned_chain)
         mixed = permute_chain(aligned_chain, RngStream(3))
         base = relabel_chain(mixed, ref)
-        rows = permutation_matrix(2)
-        flip = rows[1]
+        flip = np.array([1, 0])
         globally_flipped = GibbsChain(
             k=2,
             weights=mixed.weights[:, flip].copy(),
@@ -150,8 +148,25 @@ def test_alignment_matches_exhaustive_search(k):
     chain = _chain_from_arrays(rng.dirichlet(np.full(k, 2.0), size=T),
                                rng.normal(0.0, 3.0, (T, k)), rng.gamma(3.0, 1.0, (T, k)))
     for ref in (chain[0], chain[T // 2]):
-        np.testing.assert_array_equal(permutation_matrix(k)[alignment(chain, ref)],
-                                      nearest_relabelling(chain, ref))
+        np.testing.assert_array_equal(alignment(chain, ref), nearest_relabelling(chain, ref))
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_relabel_undoes_permute_beyond_enumeration_cap(k):
+    """Past the cap on listing S_k, relabelling a randomly permuted aligned
+    chain to one of its draws gives back the chain."""
+    rng = np.random.default_rng(k)
+    T = 200
+    labels = np.arange(k)
+    chain = GibbsChain(k=k, weights=rng.dirichlet(2_000.0 * (1 + labels), size=T),
+                       means=10.0 * labels + rng.normal(0.0, 0.1, (T, k)),
+                       variances=np.exp(0.3 * labels) * rng.gamma(2_500.0, 1 / 2_500, (T, k)),
+                       allocations=rng.integers(k, size=(T, 15)).astype(np.int16), betas=None)
+    mixed = permute_chain(chain, RngStream(k))
+    assert np.mean(np.all(mixed.means == chain.means, axis=1)) < 0.01
+    rel = relabel_chain(mixed, chain[0])
+    for name in ("weights", "means", "variances", "allocations"):
+        np.testing.assert_array_equal(getattr(rel, name), getattr(chain, name), err_msg=name)
 
 
 class TestReference:
@@ -164,8 +179,6 @@ class TestReference:
         np.testing.assert_array_equal(ref.means, one.means)
 
     def test_reference_is_chain_map(self, small_normal_data, fixed_prior):
-        from mixevidence.gibbs import chain_log_posterior
-
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
             GibbsConfig(iterations=300, burn_in=100, seed=5),
@@ -173,5 +186,5 @@ class TestReference:
         ref, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(ref, fixed_prior) + log_likelihood(small_normal_data, ref)
         assert best == pytest.approx(
-            chain_log_posterior(chain, small_normal_data, fixed_prior).max()
+            log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch()).max()
         )
