@@ -23,7 +23,12 @@ evaluation kernel therefore computes the costly normal-mean factor once per
 (i, c) component pair rather than once per permutation (k pairs for the
 identity, k**2 for all of S_k instead of k * k!), and walks the points in
 chunks sized by an element budget (`KERNEL_BUDGET`) so that its buffers
-stay in cache whatever the number of draws.
+stay in cache whatever the number of draws.  Each (point, permutation) row
+is reduced over the J draws by `numerics.log_sum_exp_into`.  The log
+densities of far-apart draws sit hundreds to 1e5 nats below the row's
+largest, and the reduce floors the shifted values at `numerics.EXP_FLOOR`
+so that `np.exp` never makes a subnormal or underflowing result, which
+costs it 5 to 100 times a normal one; no bit of the result changes.
 
 The point chunks of one kernel call are shared between `KERNEL_THREADS`
 threads, the calling thread among them; they pull chunks from one shared
@@ -301,8 +306,7 @@ def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
             batch.means[lo:hi, :, None],
             batch.variances[lo:hi, :, None],
         )
-        with np.errstate(divide="ignore"):
-            out[lo:hi] = np.sum(log_sum_exp_into(comp, axis=1), axis=1)
+        out[lo:hi] = np.sum(log_sum_exp_into(comp, axis=1), axis=1)
     return out
 
 
@@ -487,8 +491,8 @@ class ConditioningSet:
                 return next(chunks, None)
 
         def run_chunks(pair_buf, row_buf, nan_buf):
-            # error state is per thread; divide: an all -inf row reduces to log 0 = -inf
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # error state is per thread
+            with np.errstate(over="ignore", invalid="ignore"):
                 while (chunk := next_chunk()) is not None:
                     lo, hi = chunk
                     m = hi - lo

@@ -2,7 +2,14 @@
 
 Everything downstream (mixture densities, importance weights, cluster
 contributions) is accumulated in log space; probabilities are only
-exponentiated after a max-shift.  The log-density kernels are exact and
+exponentiated after a max-shift, and the shifted exponents are floored at
+`EXP_FLOOR` first.  A term below the floor is at most e^-700 (about
+1e-304) times the largest, far below half an ulp of the shifted sum, which
+is at least 1, so the floor leaves every sum's bits unchanged; it keeps
+`np.exp` off its slow path for inputs whose results underflow or are
+subnormal, which far-away draws of the block-density kernel hit by the
+million (results below e^-708 are subnormal and cost about 100 times a
+normal one).  The log-density kernels are exact and
 normalized, since the evidence identities this package implements
 require normalized conditionals.  A label permutation is a (k,) gather
 row.  `permutation_rows` decodes rows of the lexicographic order of S_k
@@ -20,6 +27,10 @@ from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Shifted exponents are raised to this before `np.exp` (see the module
+# docstring); e^-700 is about 1e-304, still a normal float.
+EXP_FLOOR = -700.0
+
 # Enumerating S_k beyond this is refused (k! blow-up).
 MAX_ENUMERATED_COMPONENTS = 8
 
@@ -36,8 +47,7 @@ def log_sum_exp(values, axis=None):
     values = np.array(values, dtype=float, ndmin=1)  # a copy, which the reduce overwrites
     if values.size == 0:
         raise ValueError("log_sum_exp of an empty collection")
-    with np.errstate(divide="ignore"):
-        out = log_sum_exp_into(values, axis)
+    out = log_sum_exp_into(values, axis)
     return float(out) if axis is None else out
 
 
@@ -46,16 +56,20 @@ def log_sum_exp_into(values: np.ndarray, axis=None) -> np.ndarray:
     `values`, which it overwrites.
 
     It takes no temporaries of the size of `values`, so hot loops reduce
-    in their own buffers.  Call it under `np.errstate(divide="ignore")`: a
-    slice that is all -inf takes log 0 = -inf.
+    in their own buffers.  The shifted exponents are floored at `EXP_FLOOR`,
+    which changes no bit of the result; a slice that is all -inf, whose
+    floored sum is not 0, is set to -inf after the log.
     """
     shift = np.max(values, axis=axis, keepdims=True)
+    empty = shift == -np.inf
     np.copyto(shift, 0.0, where=~np.isfinite(shift))
     values -= shift
+    np.maximum(values, EXP_FLOOR, out=values)
     np.exp(values, out=values)
     out = np.sum(values, axis=axis, keepdims=True)
     np.log(out, out=out)
     out += shift
+    np.copyto(out, -np.inf, where=empty)
     return np.squeeze(out, axis=axis)
 
 

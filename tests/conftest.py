@@ -43,3 +43,12 @@ def random_params(k: int, rng, beta: bool = False) -> MixtureParams:
         variances=gen.gamma(3.0, 1.0, k) + 0.2,
         beta=float(gen.gamma(2.0, 1.0) + 0.5) if beta else None,
     )
+
+
+def assert_same_bits(got, expected):
+    """Equal shapes and equal bits, except that any NaN matches any NaN."""
+    got, expected = np.asarray(got, float), np.asarray(expected, float)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))

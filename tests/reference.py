@@ -10,8 +10,10 @@ and from the library's rows, small distribution value objects with exact
 normalized log-densities, the scalar likelihood and prior, the sufficient
 statistics of an allocation, the full conditionals, and the block density
 pi(theta | theta', z', x) with an exact sampler, and the relabelling of a
-chain towards a reference by exhaustive search over S_k.  The tests check
-the batched code against it.
+chain towards a reference by exhaustive search over S_k.  It also keeps
+`log_sum_exp_into` as it was before its exponent floor, and the grouped
+loop that `ConditioningSet.sample` replaced.  The tests check the batched
+code against it.
 """
 
 from __future__ import annotations
@@ -465,3 +467,21 @@ def sample_block(given: tuple[MixtureParams, Allocation], data: Dataset,
             )
         )
     return MixtureParams(weights, means, variances, beta)
+
+
+# ---------------------------------------------------------------------------
+# The library's reduce before its exponent floor.
+# ---------------------------------------------------------------------------
+
+def log_sum_exp_into(values: np.ndarray, axis=None) -> np.ndarray:
+    """`numerics.log_sum_exp_into` without `EXP_FLOOR`: the shifted values
+    go to `np.exp` as they are, and a slice that is all -inf takes log 0."""
+    shift = np.max(values, axis=axis, keepdims=True)
+    np.copyto(shift, 0.0, where=~np.isfinite(shift))
+    values -= shift
+    np.exp(values, out=values)
+    out = np.sum(values, axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    out += shift
+    return np.squeeze(out, axis=axis)

@@ -8,6 +8,8 @@ import pytest
 from scipy import integrate
 
 from mixevidence import model
+from mixevidence.datasets import builtin_dataset
+from mixevidence.gibbs import GibbsConfig, run_gibbs
 from mixevidence.model import (
     ConditioningSet,
     Dataset,
@@ -25,7 +27,8 @@ from mixevidence.numerics import (
     permutation_matrix,
 )
 
-from conftest import random_params
+import reference
+from conftest import assert_same_bits, random_params
 from reference import (
     Allocation,
     MixtureParams,
@@ -651,6 +654,33 @@ class TestConditioningSetEngine:
         with pytest.raises(FloatingPointError, match="failed in a worker"):
             cond.log_pooled_density(batch, permutation_matrix(k)[:1])
         assert raised.is_set()
+
+    @pytest.mark.parametrize("workload", ["d2", "galaxy"])
+    def test_exp_floor_keeps_kernel_bits(self, workload, monkeypatch):
+        """On a short chain's draws, whose far-apart pairs put shifted log
+        densities below the floor, the pooled density has the bits of the
+        kernel run with the unfloored reference reduce, at P=1 and P=k!."""
+        if workload == "galaxy":
+            data, k = builtin_dataset("galaxy"), 4
+            prior = HierarchicalPrior.from_data(data)
+        else:
+            data, k = builtin_dataset("d2", rng=3), 3
+            prior = FixedPrior(var_shape=2.0, var_scale=15.0)
+        chain = run_gibbs(data, prior, k, GibbsConfig(iterations=900, burn_in=100), rng=7)
+        draws = chain[::8]
+        cond = ConditioningSet.from_draws(data, prior, draws.means, draws.allocations,
+                                          draws.betas)
+        batch = chain[3::8].params_batch()
+        for perms in (permutation_matrix(k)[:1], permutation_matrix(k)):
+            terms = cond.log_density_terms(batch, perms)
+            shifted = terms - terms.max(axis=-1, keepdims=True)
+            assert np.any((shifted > -745.0) & (shifted < -700.0))
+            assert np.any(shifted < -745.0)
+            floored = cond.log_pooled_density(batch, perms)
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "log_sum_exp_into", reference.log_sum_exp_into)
+                expected = cond.log_pooled_density(batch, perms)
+            assert_same_bits(floored, expected)
 
     def test_sample_scatter_order(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(15)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +11,18 @@ from scipy import integrate
 
 from mixevidence.gibbs import GibbsChain, permute_draws
 from mixevidence.numerics import (
+    EXP_FLOOR,
     PermutationCapacityError,
     RngStream,
     as_generator,
     log_sum_exp,
+    log_sum_exp_into,
     permutation_matrix,
     permutation_rows,
 )
 
+import reference
+from conftest import assert_same_bits
 from reference import Categorical, Dirichlet, Gamma, InverseGamma, Normal, log_pdf, sample
 
 
@@ -53,6 +58,75 @@ class TestLogSumExp:
         lhs = log_sum_exp(xs + c)
         rhs = log_sum_exp(xs) + c
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def straddling_values(rng, shape):
+    """Values whose max-shifted exponents fall on both sides of the floor:
+    a quarter in (-40, 0), half in (-760, -690), where exp's results go
+    subnormal below -708 and to 0 below -745, and a quarter in (-1e5, -760);
+    plus a random offset along the first axis."""
+    u = rng.random(shape)
+    values = np.where(u < 0.25, rng.uniform(-40.0, 0.0, shape),
+                      np.where(u < 0.75, rng.uniform(-760.0, -690.0, shape),
+                               rng.uniform(-1e5, -760.0, shape)))
+    return values + rng.uniform(-1e3, 1e3, (shape[0],) + (1,) * (len(shape) - 1))
+
+
+def assert_floor_keeps_bits(make, axis):
+    """The floored reduce of `make()` has the bits of the reference reduce of
+    another `make()`, which must give the same values in the same layout."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = log_sum_exp_into(make(), axis)
+    assert_same_bits(got, reference.log_sum_exp_into(make(), axis))
+
+
+class TestExpFloor:
+    """Flooring the shifted exponents at EXP_FLOOR changes no bit of any reduce."""
+
+    @pytest.mark.parametrize("J", [1, 2, 7, 8, 9, 100, 1000, 10_000])
+    def test_straddling_slices(self, J):
+        rng = np.random.default_rng(J)
+        base = straddling_values(rng, (max(4, 40_000 // J), J))
+        shifted = base - base.max(axis=1, keepdims=True)
+        if J >= 100:
+            assert np.any((shifted > -745.0) & (shifted < EXP_FLOOR))
+            assert np.any(shifted < -745.0)
+        assert_floor_keeps_bits(base.copy, 1)
+        assert_floor_keeps_bits(lambda: base.T.copy(), 0)
+
+    def test_non_finite_slices(self):
+        inf, nan = np.inf, np.nan
+        base = np.array([
+            [-inf, -inf, -inf, -inf],
+            [inf, inf, inf, inf],
+            [inf, -inf, -inf, -inf],
+            [nan, nan, nan, nan],
+            [nan, 0.0, -720.0, -800.0],
+            [nan, -inf, -inf, -inf],
+            [nan, inf, -inf, 0.0],
+            [-inf, 0.0, -720.0, -1e6],
+            [inf, 0.0, -720.0, -1e6],
+            [-1e308, -inf, -inf, -inf],
+            [1e308, 1e308, -inf, 0.0],
+        ])
+        assert_floor_keeps_bits(base.copy, 1)
+        assert_floor_keeps_bits(lambda: base.T.copy(), 0)
+        for row in base:
+            assert_floor_keeps_bits(row.copy, None)
+        assert log_sum_exp_into(base[:1].copy(), 1)[0] == -inf
+        assert log_sum_exp([-inf, -inf]) == -inf
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2, -1, (0, 2)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_axes_and_layouts(self, axis, layout):
+        base = straddling_values(np.random.default_rng(5), (12, 14, 300))
+        base[3, :, 7] = -np.inf
+        make = {"C": base.copy,
+                "F": lambda: np.asfortranarray(base),
+                "strided": lambda: base.copy()[::2, 1:, ::3]}[layout]
+        assert make().flags.c_contiguous == (layout == "C")
+        assert_floor_keeps_bits(make, axis)
 
 
 class TestPermutations:
