@@ -16,6 +16,9 @@ the candidate-point evidence identity require.  The conditional parameters
 are written once, in `variance_conditional`, `mean_conditional` and
 `beta_conditional`; the Gibbs sweep and `ConditioningSet` both call them,
 and `ConditioningSet` samples and evaluates the block density in batches.
+It samples a batch in one pass whatever the number of distinct draws it
+conditions on: each factor's parameters are gathered per particle and drawn
+with one generator call.
 
 The block density factorises over components: under a label permutation
 sigma, batch component i only meets draw component sigma(i).  The
@@ -550,28 +553,31 @@ class ConditioningSet:
         return out
 
     def sample(self, draw_indices: np.ndarray, rng) -> ParamsBatch:
-        """One block draw per entry of `draw_indices` (values in 0..J-1).
+        """One block draw per entry of `draw_indices` (values in 0..J-1), in
+        the order of `draw_indices`.
 
-        Draws are generated grouped by conditioning draw for speed and
-        scattered back so the batch order matches `draw_indices`.
+        Every factor is drawn for the whole batch in one pass from its
+        draw's gathered statistics: the weights as standard gammas of shape
+        1 + counts normalised per row (the Dirichlet law, as numpy draws it
+        for concentrations of 1 or more), the variances as inverse gammas,
+        the means as normals given the fresh variances, and beta given the
+        fresh variances.  Each value is rounded as numpy's `dirichlet`,
+        `gamma` and `normal` round it, so a batch that conditions on one
+        draw alone has the bits of those calls on that draw's conditionals.
         """
         gen = as_generator(rng)
         draw_indices = np.asarray(draw_indices, dtype=np.intp)
-        B, k = draw_indices.size, self.k
+        if np.any((draw_indices < 0) | (draw_indices >= self.J)):
+            raise ValueError(f"draw indices must lie in 0..{self.J - 1}")
         prior = self.prior
-        weights = np.empty((B, k))
-        means = np.empty((B, k))
-        variances = np.empty((B, k))
-        betas = np.empty(B) if prior.hierarchical else None
-        for j in np.unique(draw_indices):
-            rows = np.nonzero(draw_indices == j)[0]
-            m = rows.size
-            weights[rows] = gen.dirichlet(1.0 + self.counts[j], m)
-            v = self.ig_scale[j] / gen.gamma(self.ig_shape[j], 1.0, (m, k))
-            variances[rows] = v
-            mean, var = mean_conditional(prior, self.counts[j], self.sums[j], v)
-            means[rows] = gen.normal(mean, np.sqrt(var))
-            if betas is not None:
-                shape, rate = beta_conditional(prior, v)
-                betas[rows] = gen.gamma(shape, 1.0 / rate)
+        counts = self.counts[draw_indices]
+        weights = gen.standard_gamma(1.0 + counts)
+        weights *= 1.0 / weights.sum(axis=-1, keepdims=True)
+        variances = self.ig_scale[draw_indices] / gen.standard_gamma(self.ig_shape[draw_indices])
+        mean, var = mean_conditional(prior, counts, self.sums[draw_indices], variances)
+        means = mean + np.sqrt(var) * gen.standard_normal(mean.shape)
+        betas = None
+        if prior.hierarchical:
+            shape, rate = beta_conditional(prior, variances)
+            betas = gen.standard_gamma(shape, rate.shape) * (1.0 / rate)
         return ParamsBatch(weights, means, variances, betas)

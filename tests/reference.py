@@ -25,7 +25,14 @@ from itertools import permutations
 import numpy as np
 
 from mixevidence.gibbs import GibbsChain
-from mixevidence.model import Dataset, ParamsBatch, PriorSpec
+from mixevidence.model import (
+    ConditioningSet,
+    Dataset,
+    ParamsBatch,
+    PriorSpec,
+    beta_conditional,
+    mean_conditional,
+)
 from mixevidence.numerics import (
     as_generator,
     dirichlet_logpdf,
@@ -485,3 +492,33 @@ def log_sum_exp_into(values: np.ndarray, axis=None) -> np.ndarray:
         np.log(out, out=out)
     out += shift
     return np.squeeze(out, axis=axis)
+
+
+# ---------------------------------------------------------------------------
+# The grouped sampler that `ConditioningSet.sample` replaced.
+# ---------------------------------------------------------------------------
+
+def sample_grouped(cond: ConditioningSet, draw_indices, rng) -> ParamsBatch:
+    """One block draw per entry of `draw_indices`, drawn draw by draw: the
+    rows of each distinct draw index get their own generator calls, and the
+    values are scattered back into the order of `draw_indices`."""
+    gen = as_generator(rng)
+    draw_indices = np.asarray(draw_indices, dtype=np.intp)
+    B, k = draw_indices.size, cond.k
+    prior = cond.prior
+    weights = np.empty((B, k))
+    means = np.empty((B, k))
+    variances = np.empty((B, k))
+    betas = np.empty(B) if prior.hierarchical else None
+    for j in np.unique(draw_indices):
+        rows = np.nonzero(draw_indices == j)[0]
+        m = rows.size
+        weights[rows] = gen.dirichlet(1.0 + cond.counts[j], m)
+        v = cond.ig_scale[j] / gen.gamma(cond.ig_shape[j], 1.0, (m, k))
+        variances[rows] = v
+        mean, var = mean_conditional(prior, cond.counts[j], cond.sums[j], v)
+        means[rows] = gen.normal(mean, np.sqrt(var))
+        if betas is not None:
+            shape, rate = beta_conditional(prior, v)
+            betas[rows] = gen.gamma(shape, 1.0 / rate)
+    return ParamsBatch(weights, means, variances, betas)

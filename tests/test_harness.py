@@ -228,13 +228,13 @@ PINNED_ROWS = {
          ("chib_perm", -223.05183860128614, 1.0, 0.5399982767285285, 1800, None),
          ("plugin_is", -224.60517505510003, 0.04974774677955617, 0.2527534849549547,
           1800, None),
-         ("sym_is", -221.8235326992244, 0.038621099584026826, 0.2885355847303638,
+         ("sym_is", -222.08968910587197, 0.07161232043236236, 0.20822612487547815,
           18000, None),
-         ("sym_is_trunc", -221.8235326992244, 0.038621099584026826, 0.2885355847303638,
+         ("sym_is_trunc", -222.08968910587197, 0.07161232043236236, 0.20822612487547815,
           18000, 6),
-         ("mixture_is", -222.1039331756266, 0.028981016194420443, 0.3347506749674316,
+         ("mixture_is", -222.42198455442207, 0.10193049313724162, 0.17165929258924506,
           12000, None),
-         ("bridge", -222.05224616952006, 0.017996963874824568, 0.5236369138567745,
+         ("bridge", -222.23974145362206, 0.071564593044301, 0.2553290362722502,
           20000, None)],
     ),
     "galaxy_full": (
@@ -243,13 +243,13 @@ PINNED_ROWS = {
          ("chib_perm", -223.37683087556408, 1.0, 0.3875914162490106, 7200, None),
          ("plugin_is", -224.7883797364838, 0.1081960925990155, 0.16603257476320474,
           7200, None),
-         ("sym_is", -223.53906486603756, 0.009187709995879948, 0.6005600776921249,
+         ("sym_is", -224.29040193451976, 0.020177388515868387, 0.40300056626389724,
           72000, None),
-         ("sym_is_trunc", -223.53906486603756, 0.009187709995879948, 0.6005600776921249,
+         ("sym_is_trunc", -224.29040193451976, 0.020177388515868387, 0.40300056626389724,
           26400, 5),
-         ("mixture_is", -225.37120653996678, 0.012839163459712049, 0.5070957847633448,
+         ("mixture_is", -226.0693921919748, 0.1370143965755542, 0.14513865027732367,
           12000, None),
-         ("bridge", -223.6199105121223, 0.08793739223936287, 0.22829636472767023,
+         ("bridge", -223.65208931999996, 0.042162813511231585, 0.33787380053862726,
           20000, None)],
     ),
 }

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats as ss
 from scipy import integrate
 
 from mixevidence import model
@@ -682,15 +683,84 @@ class TestConditioningSetEngine:
                 expected = cond.log_pooled_density(batch, perms)
             assert_same_bits(floored, expected)
 
-    def test_sample_scatter_order(self, small_normal_data, fixed_prior):
-        rng = np.random.default_rng(15)
-        k, J = 2, 3
-        cond = ConditioningSet.from_draws(small_normal_data, fixed_prior,
-                                          rng.normal(0.0, 3.0, (J, k)),
-                                          rng.integers(0, k, (J, small_normal_data.n)))
-        js = np.array([2, 0, 2, 1, 0])
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_sample_follows_draw_indices(self, hierarchical):
+        """Each draw of S_3 gives three groups of distinct sizes and far-apart
+        centers to its own components, so a particle's weights and means
+        show which draw it was drawn from."""
+        rng = np.random.default_rng(16)
+        centers, sizes = np.array([-100.0, 0.0, 100.0]), np.array([20, 60, 180])
+        groups = np.repeat(np.arange(3), sizes)
+        data = Dataset(centers[groups] + rng.normal(0.0, 1.0, groups.size))
+        prior = (HierarchicalPrior.from_data(data) if hierarchical
+                 else FixedPrior(var_shape=2.0, var_scale=3.0))
+        perms = permutation_matrix(3)  # draw j gives group g to component perms[j, g]
+        stored_means = np.empty((6, 3))
+        np.put_along_axis(stored_means, perms, centers, axis=1)
+        cond = ConditioningSet.from_draws(data, prior, stored_means, perms[:, groups],
+                                          np.ones(6) if hierarchical else None)
+        js = rng.integers(0, 6, 600)
         batch = cond.sample(js, RngStream(3))
-        assert batch.size == 5
-        # grouped generation must scatter back deterministically
-        again = cond.sample(js, RngStream(3))
-        np.testing.assert_array_equal(batch.means, again.means)
+        by_group = perms[js]  # (B, 3): the component each group went to
+        np.testing.assert_array_less(
+            np.abs(np.take_along_axis(batch.means, by_group, axis=1) - centers), 5.0)
+        assert np.all(np.diff(np.take_along_axis(batch.weights, by_group, axis=1), axis=1) > 0)
+        assert (batch.betas is not None) == hierarchical
+
+    @pytest.mark.parametrize("bad", [-1, -3, 3, 7])
+    def test_sample_rejects_indices_outside_the_draws(self, small_normal_data, fixed_prior,
+                                                      bad):
+        cond = conditioning_set(small_normal_data, fixed_prior, np.random.default_rng(15), 2, 3)
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            cond.sample(np.array([0, bad, 2]), RngStream(3))
+        assert cond.sample(np.array([0, 2, 1]), RngStream(3)).size == 3
+
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_sample_on_one_draw_is_grouped_reference(self, small_normal_data, hier_prior,
+                                                     fixed_prior, hierarchical):
+        """With a single distinct draw both samplers make the same generator
+        calls in the same order, so the batches agree bit for bit."""
+        prior = hier_prior if hierarchical else fixed_prior
+        cond = conditioning_set(small_normal_data, prior, np.random.default_rng(20), 3, 4)
+        for js in (np.zeros(50, dtype=int), np.full(7, 2)):
+            new = cond.sample(js, RngStream(21))
+            old = reference.sample_grouped(cond, js, RngStream(21))
+            for field in ("weights", "means", "variances", "betas"):
+                assert_same_bits(getattr(new, field), getattr(old, field))
+
+
+class TestSampleLaw:
+    """The one-pass sampler and the grouped reference loop draw from one law:
+    two-sample KS tests on fixed draw indices, per component of the weights,
+    means and variances, and on beta under the hierarchical prior."""
+
+    PARTICLES = 20_000
+    ALPHA = 1e-3
+
+    @pytest.fixture(scope="class", params=["fixed", "hierarchical"])
+    def samples(self, request, small_normal_data, fixed_prior, hier_prior):
+        prior = hier_prior if request.param == "hierarchical" else fixed_prior
+        rng = np.random.default_rng(17)
+        # few draws with a near-empty component, so that each draw's law shows
+        J, n = 6, small_normal_data.n
+        cond = ConditioningSet.from_draws(
+            small_normal_data, prior, rng.normal(0.0, 1.0, (J, 3)),
+            rng.choice(3, (J, n), p=[0.05, 0.25, 0.7]),
+            rng.gamma(2.0, 1.0, J) + 0.5 if prior.hierarchical else None)
+        js = rng.integers(0, J, self.PARTICLES)
+        return cond.sample(js, RngStream(18)), reference.sample_grouped(cond, js, RngStream(19))
+
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
+    def test_components(self, samples, field):
+        new, old = (getattr(batch, field) for batch in samples)
+        for i in range(new.shape[1]):
+            p = ss.ks_2samp(new[:, i], old[:, i]).pvalue
+            assert p > self.ALPHA, f"{field}[{i}]: KS p = {p:.3g}"
+
+    def test_beta(self, samples):
+        new, old = (batch.betas for batch in samples)
+        if new is None or old is None:  # the fixed prior: neither sampler draws beta
+            assert new is None and old is None
+        else:
+            assert ss.ks_2samp(new, old).pvalue > self.ALPHA
