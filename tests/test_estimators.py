@@ -243,11 +243,14 @@ class TestSeparatedClusterGap:
         prop = build_dual_proposal(rel, data, prior, J=50, rng=RngStream(10))
         batch = prop.sample(200, RngStream(11))
         log_h = prop.log_h(batch)
+        # the swapped cluster adds nothing to any particle's reduce: it lies
+        # below half an ulp of the identity cluster's log h
+        assert np.array_equal(log_sum_exp(log_h, axis=1), log_h[:, 0])
+        # about 0.6% of particles have a gap below 180 nats, so the bound is
+        # on the 5% quantile: over 200 batches of 200 particles it read
+        # 219-333 nats, under the grouped sampler and the one-pass one alike
         gaps = log_h[:, 0] - log_h[:, 1]
-        # e^-100 of the identity cluster is far below its rounding; over 20k
-        # particles of this proposal the smallest gap was 112-118 nats, and
-        # 0.6% of particles fall below 180
-        assert np.all(gaps > 100.0)
+        assert np.quantile(gaps, 0.05) > 180.0
 
 
 class TestImportanceEstimate:
