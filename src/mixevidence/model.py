@@ -22,16 +22,28 @@ with one generator call.
 
 The block density factorises over components: under a label permutation
 sigma, batch component i only meets draw component sigma(i).  The
-evaluation kernel therefore computes the costly normal-mean factor once per
-(i, c) component pair rather than once per permutation (k pairs for the
-identity, k**2 for all of S_k instead of k * k!), and walks the points in
-chunks sized by an element budget (`KERNEL_BUDGET`) so that its buffers
-stay in cache whatever the number of draws.  Each (point, permutation) row
-is reduced over the J draws by `numerics.log_sum_exp_into`.  The log
-densities of far-apart draws sit hundreds to 1e5 nats below the row's
-largest, and the reduce floors the shifted values at `numerics.EXP_FLOOR`
-so that `np.exp` never makes a subnormal or underflowing result, which
-costs it 5 to 100 times a normal one; no bit of the result changes.
+evaluation kernel walks the points in chunks sized by an element budget
+(`KERNEL_BUDGET`), so that its buffers stay in cache whatever the number of
+draws, and makes as few passes over them as it can, since each pass costs
+about half a nanosecond per element and a log three times that.  The
+weight and variance factors with the draw's normalising constant are one
+matrix product per permutation row, [log w | log v | 1/v | 1] against the
+row's relabelled [counts; -(shape + 1); -scale; constant].  The normal-mean
+factor is computed once per (i, c) component pair rather than once per
+permutation (k pairs for the identity, k**2 for all of S_k instead of
+k * k!), in closed form: with D = p0 v + n and t = n mu - s + v (p0 mu - p0
+mu0), log prec - prec (mu - mean)^2 = log D - t^2 / (v D) - log v, where
+t / sqrt(v) is one matrix product of the point's [mu, -1, v (p0 mu - p0
+mu0)] / sqrt(v) with the draw's [n; s; 1].  Each row uses each batch
+component exactly once, so the -1/2 sum_i log v_i and -k/2 log 2 pi of the
+normal factors are the same for every row; neither depends on the draw, so
+they leave the loop over draws and are added once per point after the
+reduce, with the beta factor.  Each (point, permutation) row is reduced
+over the J draws by `numerics.log_sum_exp_into`.  The log densities of
+far-apart draws sit hundreds to 1e5 nats below the row's largest, and the
+reduce floors the shifted values at `numerics.EXP_FLOOR` so that `np.exp`
+never makes a subnormal or underflowing result, which costs it 5 to 100
+times a normal one; no bit of the result changes.
 
 The point chunks of one kernel call are shared between `KERNEL_THREADS`
 threads, the calling thread among them; they pull chunks from one shared
@@ -210,17 +222,22 @@ def beta_conditional(prior: HierarchicalPrior, variances):
 LIKELIHOOD_CHUNK = 512
 
 # Float64 elements in each of the block-density kernel's (pairs, points, J)
-# and (rows, points, J) buffers.  Point chunks are sized by this element
-# count, not by a fixed number of points, because J runs from 1 (plug-in
-# proposal) to the whole chain (Chib): a fixed 256 points made (256, J, k)
-# temporaries of 33 MB at J=4000.  2**16 elements (512 KB) keeps a thread's
-# two pair buffers within a 2 MB per-core L2 cache.  A chunk holds at least
-# two points (see `_chunk_edges`), so the pair buffers outgrow the budget
-# where 2 * J * pairs does; the rows of a chunk go in blocks that fit the
-# budget, one row at least, so the row buffers grow with J alone.  Chunks
-# and blocks are sized as if J were at least 8: the thread that runs a chunk
-# allocates its (pairs, points) gathers and the (rows, points) arrays of the
-# reduce, and at J=1 these would be as large as the buffers.
+# and (rows, points, J) buffers: per thread, two pair buffers (D, then the
+# pair factor, and t / sqrt(v)) and three row buffers (the row sum and two
+# for the pair slices), besides the small (pairs, points, 3) left operand of
+# the mean factor.  Point chunks are sized by this element count, not by a
+# fixed number of points, because J runs from 1 (plug-in proposal) to the
+# whole chain (Chib): a fixed 256 points made (256, J, k) temporaries of
+# 33 MB at J=4000.  2**16 elements (512 KB) keeps a thread's two pair
+# buffers within a 2 MB per-core L2 cache.  A chunk holds at least two
+# points (see `_chunk_edges`), so the pair buffers outgrow the budget where
+# 2 * J * pairs does; the rows of a chunk go in blocks that fit the budget,
+# one row at least, so the row buffers grow with J alone.  The right
+# operands, (P, 3k + 1, J) and (pairs, 3, J), are built once per call and
+# are not bounded by the budget.  Chunks and blocks are sized as if J were
+# at least 8: the thread that runs a chunk allocates its (pairs, points)
+# gathers and the (rows, points) arrays of the reduce, and at J=1 these
+# would be as large as the buffers.
 KERNEL_BUDGET = 1 << 16
 
 # Threads that share the point chunks of one block-density call, the calling
@@ -279,6 +296,11 @@ def _chunk_edges(size: int, step: int) -> list[int]:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     return edges
+
+
+def _nan_to_neg_inf(values: np.ndarray) -> None:
+    """Set the NaN entries of `values` to -inf."""
+    np.copyto(values, -np.inf, where=np.isnan(values))
 
 
 def _run_in_threads(work, buffers: list) -> None:
@@ -402,30 +424,43 @@ class ConditioningSet:
         return cls(prior=prior, counts=counts, sums=sums, ig_shape=ig_shape,
                    ig_scale=ig_scale, ig_power=ig_shape + 1.0, ig_const=ig_const)
 
-    def _batch_pieces(self, batch: ParamsBatch):
-        """Batch-side quantities shared by every permutation row."""
+    def _batch_pieces(self, batch: ParamsBatch, left: np.ndarray) -> np.ndarray:
+        """Fill `left`, a (B, 3k + 1) array, with [log w | log v | 1/v | 1], the
+        left operand of the weight and variance factors, and return the (B,)
+        terms that every permutation row shares: -1/2 sum_i log v_i,
+        -k/2 log(2 pi) and the beta factor."""
         prior = self.prior
-        with np.errstate(divide="ignore"):
-            logw = np.log(batch.weights)
-        # a zero weight with a zero count must contribute 0, not -inf * 0
-        logw = np.where(np.isneginf(logw), -1e300, logw)
-        logv = np.log(batch.variances)
+        k = batch.k
         if prior.hierarchical and batch.betas is None:
             raise ValueError("hierarchical prior requires batch.betas")
-        # a subnormal variance overflows 1/v to inf: infinite precision is the correct limit
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv_v = 1.0 / batch.variances
-            if not prior.hierarchical:
-                return logw, logv, inv_v, np.zeros(batch.size)
-            g_shape, g_rate = beta_conditional(prior, batch.variances)
-            beta_term = (
-                g_shape * np.log(g_rate)
-                - gammaln(g_shape)
-                + (g_shape - 1.0) * np.log(batch.betas)
-                - g_rate * batch.betas
-            )
-        # an infinite rate yields inf - inf; the log-density's limit there is -inf
-        return logw, logv, inv_v, np.where(np.isnan(beta_term), -np.inf, beta_term)
+        logw, logv, inv_v = (left[:, i * k:(i + 1) * k] for i in range(3))
+        left[:, 3 * k] = 1.0
+        # a zero or subnormal variance makes 1/v (and log v) infinite: infinite
+        # precision is the correct limit
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.log(batch.weights, out=logw)
+            # a zero weight with a zero count must contribute 0, not -inf * 0
+            np.copyto(logw, -1e300, where=np.isneginf(logw))
+            np.log(batch.variances, out=logv)
+            np.divide(1.0, batch.variances, out=inv_v)
+            # component by component, so that a point's sum does not depend on B
+            shared = logv[:, 0].copy()
+            for i in range(1, k):
+                shared += logv[:, i]
+            shared *= -0.5
+            shared -= 0.5 * k * LOG_2PI
+            if prior.hierarchical:
+                g_shape, g_rate = beta_conditional(prior, batch.variances)
+                shared += (
+                    g_shape * np.log(g_rate)
+                    - gammaln(g_shape)
+                    + (g_shape - 1.0) * np.log(batch.betas)
+                    - g_rate * batch.betas
+                )
+        # a zero variance gives +inf and an infinite rate inf - inf; the
+        # log-density's limit at either is -inf
+        np.copyto(shared, -np.inf, where=~(shared < np.inf))
+        return shared
 
     def log_pooled_density(self, batch: ParamsBatch, perms: np.ndarray) -> np.ndarray:
         """(B, P) array of log[(1/J) sum_j pi(theta_b | sigma_p(draw_j), x)].
@@ -442,19 +477,37 @@ class ConditioningSet:
         return self._per_permutation(batch, perms, (self.J,), lambda terms: terms)
 
     def _per_permutation(self, batch, perms, tail, reduce):
-        """(B, P, *tail) array: `reduce` of each (rows, points, J) block of
-        log densities without the beta factor, plus the beta factor.
+        """(B, P, *tail) array: `reduce` of each (rows, points, J) block of log
+        densities without the terms every row shares, plus those terms.
 
         The block density factorises over components: row p pairs batch
-        component i with draw component perms[p, i].  For each chunk of
-        points the normal-mean factor of every distinct (i, c) pair the rows
-        use is computed once, into (pairs, points, J) buffers of about
-        KERNEL_BUDGET elements (`_chunk_edges`): k pairs for the identity
-        alone, k**2 for all of S_k.  The rows then go in blocks of up to
-        KERNEL_BUDGET / (points J) rows, each step once per block: the weight
-        and variance factors are stacked matrix products with the rows'
-        relabelled draw statistics, and the k pair slices are gathered and
-        summed in component order.
+        component i with draw component c = perms[p, i].  Its log is
+
+            [log w | log v | 1/v | 1] @ [counts; -(shape + 1); -scale; ig_const]
+            + 1/2 sum_i (log D - t^2 / (v D)) - 1/2 sum_i log v_i - k/2 log 2 pi
+            + beta factor,
+
+        with D = p0 v + n and t = n mu - s + v (p0 mu - p0 mu0) for the pair's
+        point values (w, mu, v) and draw statistics (n, s): the normal-mean
+        factor 1/2 (log prec - log 2 pi - prec (mu - mean)^2) in closed form,
+        since prec = D / v and mu - mean = t / D.  The first term is one
+        stacked matrix product per row, against the row's relabelled draw
+        statistics.  The second is computed once per chunk for every distinct
+        (i, c) pair the rows use (k pairs for the identity alone, k**2 for all
+        of S_k) into (pairs, points, J) buffers of about KERNEL_BUDGET
+        elements (`_chunk_edges`): D, then t / sqrt(v) as one matrix product
+        of [mu, -1, v (p0 mu - p0 mu0)] / sqrt(v) with [n; s; 1], then
+        log D - (t / sqrt(v))^2 / D.  The rest is the same for every row,
+        because a row uses each batch component exactly once, and it does not
+        depend on the draw, so it is added once per point after the reduce.
+        The rows go in blocks of up to KERNEL_BUDGET / (points J) rows, each
+        step once per block; a block of one row sums its pair slices as
+        views, a larger one gathers them, in component order either way.
+
+        A row that meets an overflowing precision or a non-finite input can
+        hold inf - inf, whose limit is -inf.  A block whose reduced values
+        hold a NaN is recomputed and its NaNs set to -inf before the reduce;
+        no other block pays for that check beyond the reduced values.
 
         The chunks are shared between `KERNEL_THREADS` threads (fewer if there
         are fewer chunks; one chunk runs in the calling thread alone).  The
@@ -466,19 +519,28 @@ class ConditioningSet:
         B, P, J, k = batch.size, perms.shape[0], self.J, self.k
         if P < 1 or perms.shape[1] != k or np.any((perms < 0) | (perms >= k)):
             raise ValueError(f"perms must be a non-empty (P, {k}) array of labels 0..{k - 1}")
-        logw, logv, inv_v, beta_term = self._batch_pieces(batch)
+        left = np.empty((B, 3 * k + 1))
+        shared = self._batch_pieces(batch, left)
         # pair (i, c) has code k i + c; cols[p, i] is the buffer slot of (i, perms[p, i])
         codes, cols = np.unique(k * np.arange(k) + perms, return_inverse=True)
         cols = cols.reshape(P, k)
         pairs = codes.size
         pair_i, pair_c = np.divmod(codes, k)
-        n_pair = self.counts.T[pair_c][:, None, :]       # (pairs, 1, J)
-        s_pair = self.sums.T[pair_c][:, None, :]
-        # each row's relabelled draw statistics, (P, k, J); with the output
-        # these are the only arrays that grow with P
-        row_counts = self.counts.T[perms]
-        row_power = self.ig_power.T[perms]
-        row_scale = self.ig_scale.T[perms]
+        # each row's relabelled draw statistics and constant, (P, 3k + 1, J), and
+        # each pair's [n; s; 1], (pairs, 3, J): with the output these are the
+        # only arrays that grow with P and J
+        right = np.empty((P, 3 * k + 1, J))
+        for i in range(k):
+            c = perms[:, i]
+            right[:, i] = self.counts.T[c]
+            np.negative(self.ig_power.T[c], out=right[:, k + i])
+            np.negative(self.ig_scale.T[c], out=right[:, 2 * k + i])
+        right[:, 3 * k] = self.ig_const
+        pair_right = np.empty((pairs, 3, J))
+        pair_right[:, 0] = self.counts.T[pair_c]
+        pair_right[:, 1] = self.sums.T[pair_c]
+        pair_right[:, 2] = 1.0
+        n_pair = pair_right[:, :1]                       # (pairs, 1, J)
         p0 = 1.0 / self.prior.mean_var
         pm0 = self.prior.mean_loc * p0
         span = max(J, 8)
@@ -493,63 +555,75 @@ class ConditioningSet:
             with lock:
                 return next(chunks, None)
 
-        def run_chunks(pair_buf, row_buf, nan_buf):
+        def block_values(lo, hi, r0, r1, normal, total, part, other):
+            # the rows r0..r1 of the chunk's points, without the shared terms
+            np.matmul(left[lo:hi], right[r0:r1], out=total)
+            if r1 - r0 == 1:
+                # (1, points, J) views: an input shaped unlike its output that
+                # shares its memory would be copied first
+                acc = normal[cols[r0, 0], None]
+                for c in cols[r0, 1:]:
+                    np.add(acc, normal[c], out=part)
+                    acc = part
+            else:
+                # mode="raise" would gather into a temporary, then copy
+                np.take(normal, cols[r0:r1, 0], axis=0, out=part, mode="clip")
+                for i in range(1, k):
+                    np.take(normal, cols[r0:r1, i], axis=0, out=other, mode="clip")
+                    np.add(part, other, out=part)
+                acc = part
+            np.multiply(acc, 0.5, out=part)
+            np.add(total, part, out=total)
+            return total
+
+        def run_chunks(pair_buf, lhs_buf, row_buf):
             # error state is per thread
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 while (chunk := next_chunk()) is not None:
                     lo, hi = chunk
                     m = hi - lo
                     # contiguous views, so that every chunk takes numpy's same loops
                     normal, sq = pair_buf[:, :pairs * m * J].reshape(2, pairs, m, J)
-                    var = batch.variances[lo:hi, pair_i].T[:, :, None]     # (pairs, points, 1)
-                    # log(prec) - LOG_2PI - prec (mu - mean)^2 with the mean written
-                    # (pm0 v + s) / (p0 v + n), stable at extreme variances; `normal`
-                    # holds that denominator until the precision replaces it
-                    np.add(p0 * var, n_pair, out=normal)
-                    np.add(pm0 * var, s_pair, out=sq)
-                    np.divide(sq, normal, out=sq)
-                    np.subtract(batch.means[lo:hi, pair_i].T[:, :, None], sq, out=sq)
+                    lhs = lhs_buf[:pairs * m * 3].reshape(pairs, m, 3)
+                    var = batch.variances[lo:hi, pair_i].T          # (pairs, points)
+                    mu = batch.means[lo:hi, pair_i].T
+                    root = lhs[:, :, 2]
+                    np.sqrt(var, out=root)
+                    np.divide(mu, root, out=lhs[:, :, 0])
+                    np.divide(-1.0, root, out=lhs[:, :, 1])
+                    np.multiply(mu, p0, out=mu)
+                    np.subtract(mu, pm0, out=mu)
+                    np.multiply(root, mu, out=root)
+                    np.multiply(var, p0, out=var)
+                    # `normal` holds D until log D - t^2 / (v D) replaces it
+                    np.add(var[:, :, None], n_pair, out=normal)
+                    np.matmul(lhs, pair_right, out=sq)
                     np.square(sq, out=sq)
-                    np.divide(n_pair, var, out=normal)
-                    np.add(normal, p0, out=normal)
-                    np.multiply(normal, sq, out=sq)
+                    np.divide(sq, normal, out=sq)
                     np.log(normal, out=normal)
-                    np.subtract(normal, LOG_2PI, out=normal)
                     np.subtract(normal, sq, out=normal)
                     for r0 in range(0, P, block):
                         r1 = min(r0 + block, P)
                         size = (r1 - r0) * m * J
                         total, part, other = row_buf[:, :size].reshape(3, r1 - r0, m, J)
-                        is_nan = nan_buf[:size].reshape(r1 - r0, m, J)
-                        np.matmul(logw[lo:hi], row_counts[r0:r1], out=part)
-                        np.add(self.ig_const, part, out=total)
-                        np.matmul(logv[lo:hi], row_power[r0:r1], out=part)
-                        np.negative(part, out=part)
-                        np.matmul(inv_v[lo:hi], row_scale[r0:r1], out=other)
-                        np.subtract(part, other, out=part)
-                        np.add(total, part, out=total)
-                        # component order: np.sum's order over fewer than 8 terms;
-                        # mode="raise" would gather into a temporary, then copy
-                        np.take(normal, cols[r0:r1, 0], axis=0, out=part, mode="clip")
-                        for i in range(1, k):
-                            np.take(normal, cols[r0:r1, i], axis=0, out=other, mode="clip")
-                            np.add(part, other, out=part)
-                        np.multiply(part, 0.5, out=part)
-                        np.add(total, part, out=total)
-                        # an overflowing precision with an exactly-matching mean yields
-                        # inf - inf; the correct limit of the log-density there is -inf
-                        np.isnan(total, out=is_nan)
-                        np.copyto(total, -np.inf, where=is_nan)
-                        out[lo:hi, r0:r1] = np.swapaxes(reduce(total), 0, 1)
+                        bufs = (normal, total, part, other)
+                        values = reduce(block_values(lo, hi, r0, r1, *bufs))
+                        # the max is NaN if any value is; only this rare path
+                        # allocates a block-sized array (the guard's flags)
+                        if np.isnan(np.max(values)):
+                            total = block_values(lo, hi, r0, r1, *bufs)
+                            _nan_to_neg_inf(total)
+                            values = reduce(total)
+                        out[lo:hi, r0:r1] = np.swapaxes(values, 0, 1)
 
         threads = max(1, min(KERNEL_THREADS, len(edges) - 1))
         _run_in_threads(run_chunks, [
-            (np.empty((2, pairs * width * J)), np.empty((3, block * width * J)),
-             np.empty(block * width * J, dtype=bool))
+            (np.empty((2, pairs * width * J)), np.empty(pairs * width * 3),
+             np.empty((3, block * width * J)))
             for _ in range(threads)
         ])
         self.evaluations += B * P * J
-        out += beta_term.reshape((B,) + (1,) * (out.ndim - 1))
+        out += shared.reshape((B,) + (1,) * (out.ndim - 1))
         return out
 
     def sample(self, draw_indices: np.ndarray, rng) -> ParamsBatch:

@@ -19,6 +19,7 @@ from mixevidence.model import (
     ParamsBatch,
     log_likelihood_batch,
     log_prior_batch,
+    mean_conditional,
     variance_conditional,
 )
 from mixevidence.numerics import (
@@ -312,6 +313,13 @@ class TestBlockDensity:
 # (3 component pairs), two rows (6 pairs) and all of S_3 (9 pairs)
 ROW_SETS = {"identity": [0], "pair": [0, 3], "all": list(range(6))}
 
+EPS = np.finfo(float).eps
+
+# (k, rows of permutation_matrix(k)) for the scalar reference check: the sets
+# above at k=3, and the identity and all 24 rows at k=4
+SCALAR_ROW_SETS = {**{name: (3, rows) for name, rows in ROW_SETS.items()},
+                   "k4_identity": (4, [0]), "k4_all": (4, list(range(24)))}
+
 
 def chunk_budgets(cond, rows):
     """KERNEL_BUDGET values whose point chunks hold 2 and 3 points with all
@@ -320,6 +328,58 @@ def chunk_budgets(cond, rows):
     pairs = {(i, int(c)) for row in rows for i, c in enumerate(row)}
     span = max(cond.J, 8)
     return [m * span * max(len(pairs), len(rows)) for m in (2, 3)] + [4 * span]
+
+
+# The degenerate states of `degenerate_case`, one point each, in batch order
+DEGENERATE_STATES = ["zero_weight", "tiny_weight", "min_subnormal_variance_at_mean",
+                     "subnormal_variance", "infinite_variance", "nan_mean", "nan_weight"]
+
+# log_pooled_density (rows 0 and 3 of S_3) and log_density_terms (those rows by
+# the two draws) of the finite degenerate states, as the kernel that formed the
+# precision and conditional mean per pair computed them (commit 29dccea); the
+# other five states gave -inf everywhere, with no warning
+DEGENERATE_FINITE = {
+    False: {
+        "zero_weight": ([-286.51162782395363, -1.4e+301],
+                        [[-2.4e+301, -285.8184806433937], [-1.4e+301, -2.6000000000000003e+301]]),
+        "tiny_weight": ([-286.51162782395363, -10075.676040071537],
+                        [[-16782.299386341172, -285.8184806433937],
+                         [-10074.982892890977, -18232.495020518167]]),
+    },
+    True: {
+        "zero_weight": ([-285.01003094113497, -1.4e+301],
+                        [[-2.4e+301, -284.316883760575], [-1.4e+301, -2.6000000000000003e+301]]),
+        "tiny_weight": ([-285.01003094113497, -10072.64941498839],
+                        [[-16779.27245768908, -284.316883760575],
+                         [-10071.95626780783, -18230.99577370895]]),
+    },
+}
+
+
+def degenerate_case(data, prior):
+    """Two draws, the second leaving component 0 empty, and a batch of the
+    `DEGENERATE_STATES` at k=3; the third state's mean 0 sits on draw 0's
+    conditional mean s/n, which its subnormal variance makes exact."""
+    k = 3
+    rng = np.random.default_rng(27)
+    allocs = rng.integers(0, k, (2, data.n))
+    allocs[1] = rng.integers(1, k, data.n)
+    cond = ConditioningSet.from_draws(data, prior, rng.normal(0.0, 3.0, (2, k)), allocs,
+                                      [1.0, 2.0] if prior.hierarchical else None)
+    at_mean = cond.sums[0, 0] / cond.counts[0, 0]
+    base_w, base_mu, base_v = [0.2, 0.3, 0.5], [-1.0, 0.0, 1.0], [1.0, 1.0, 2.0]
+    states = {
+        "zero_weight": ([0.0, 0.5, 0.5], base_mu, base_v),
+        "tiny_weight": ([1e-300, 0.5, 0.5], base_mu, base_v),
+        "min_subnormal_variance_at_mean": (base_w, [at_mean, 0.0, 1.0], [5e-324, 1.0, 2.0]),
+        "subnormal_variance": (base_w, base_mu, [1e-310, 1.0, 2.0]),
+        "infinite_variance": (base_w, base_mu, [np.inf, 1.0, 2.0]),
+        "nan_mean": (base_w, [np.nan, 0.0, 1.0], base_v),
+        "nan_weight": ([np.nan, 0.3, 0.5], base_mu, base_v),
+    }
+    w, mu, v = (np.array([states[name][f] for name in DEGENERATE_STATES]) for f in range(3))
+    betas = np.full(len(DEGENERATE_STATES), 1.5) if prior.hierarchical else None
+    return cond, ParamsBatch(w, mu, v, betas)
 
 
 def conditioning_set(data, prior, rng, k, J):
@@ -334,11 +394,14 @@ class TestConditioningSetEngine:
     """The vectorized engine must agree with the scalar reference exactly."""
 
     @pytest.mark.parametrize("hierarchical", [False, True])
-    @pytest.mark.parametrize("rows", sorted(ROW_SETS))
+    @pytest.mark.parametrize("rows", sorted(SCALAR_ROW_SETS))
     def test_pooled_density_matches_scalar(self, small_normal_data, rows, hierarchical,
                                            monkeypatch):
+        """Random points plus three that strain the closed-form mean factor: a
+        variance of 1e-6, one of 1e6, and a mean on a draw's conditional mean."""
         rng = np.random.default_rng(12)
-        k, J, B = 3, 4, 5  # B=5 is not a multiple of the 2- or 3-point chunks
+        k, row_indices = SCALAR_ROW_SETS[rows]
+        J, B = 4, 5  # B=5 is not a multiple of the 2- or 3-point chunks
         if hierarchical:
             prior = HierarchicalPrior.from_data(small_normal_data)
         else:
@@ -356,9 +419,19 @@ class TestConditioningSetEngine:
             [p.beta for p, _ in pairs] if hierarchical else None,
         )
         points = [random_params(k, rng, beta=hierarchical) for _ in range(B)]
+        small, large, on_mean = (random_params(k, rng, beta=hierarchical) for _ in range(3))
+        small_v, large_v, on_mean_v = (np.array(p.variances) for p in (small, large, on_mean))
+        small_v[0], large_v[-1] = 1e-6, 1e6
+        # component 1 of draw 2 under the identity: mean = (p0 mu0 v + s) / (p0 v + n)
+        mean, _ = mean_conditional(prior, cond.counts[2, 1], cond.sums[2, 1], on_mean_v[1])
+        on_mean_mu = np.array(on_mean.means)
+        on_mean_mu[1] = mean
+        points += [MixtureParams(small.weights, small.means, small_v, small.beta),
+                   MixtureParams(large.weights, large.means, large_v, large.beta),
+                   MixtureParams(on_mean.weights, on_mean_mu, on_mean_v, on_mean.beta)]
         batch = from_params(points)
-        perms = permutation_matrix(k)[ROW_SETS[rows]]
-        expected = np.empty((B, len(perms)))
+        perms = permutation_matrix(k)[row_indices]
+        expected = np.empty((len(points), len(perms)))
         for b, theta in enumerate(points):
             for p, row in enumerate(perms):
                 per_j = [
@@ -374,10 +447,14 @@ class TestConditioningSetEngine:
                 expected[b, p] = shift + math.log(
                     sum(math.exp(v - shift) for v in per_j) / J
                 )
+        # the 1e-6 point's log densities are about -1e7, where 1e-9 is below one
+        # ulp: it is held to a few ulps instead
+        tiny = np.arange(len(points)) == B
         for budget in chunk_budgets(cond, perms):
             monkeypatch.setattr(model, "KERNEL_BUDGET", budget)
             got = cond.log_pooled_density(batch, perms)
-            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(got[~tiny], expected[~tiny], rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(got[tiny], expected[tiny], rtol=4 * EPS, atol=1e-9)
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_point_density_does_not_depend_on_chunking(self, small_normal_data, hier_prior,
@@ -472,21 +549,30 @@ class TestConditioningSetEngine:
                 cond.log_pooled_density(batch, np.array(perms))
         assert cond.evaluations == 0
 
-    @pytest.mark.parametrize("k, J, P", [pytest.param(4, 4000, 1, id="4000-1"),
-                                         pytest.param(4, 100, 24, id="100-24"),
-                                         pytest.param(5, 100, 120, id="5-100-120")])
-    def test_pooled_density_memory_is_bounded(self, small_normal_data, fixed_prior, k, J, P):
-        # a bridge-shaped call (P=1, J=4000), a symmetrized one (all of S_4) and
-        # one with more rows than pairs (120 rows of S_5); the temporaries are
-        # bounded by KERNEL_BUDGET per thread, not by B x J x k or P x J
+    @pytest.mark.parametrize("k, J, P, B, method", [
+        pytest.param(4, 4000, 1, 2000, "log_pooled_density", id="4000-1"),
+        pytest.param(4, 100, 24, 2000, "log_pooled_density", id="100-24"),
+        pytest.param(5, 100, 120, 2000, "log_pooled_density", id="5-100-120"),
+        pytest.param(4, 10_000, 1, 24, "log_density_terms", id="chib-10000-24")])
+    def test_pooled_density_memory_is_bounded(self, small_normal_data, fixed_prior, k, J, P, B,
+                                              method):
+        # a bridge-shaped call (P=1, J=4000), a symmetrized one (all of S_4), one
+        # with more rows than pairs (120 rows of S_5) and a Chib-shaped one (the
+        # 24 relabellings of a state against 10**4 draws, un-pooled); the
+        # temporaries are bounded by KERNEL_BUDGET per thread and the right
+        # operands by P x J, not by B x J x k or B x P x J
         rng = np.random.default_rng(16)
-        B = 2000
         cond = conditioning_set(small_normal_data, fixed_prior, rng, k, J)
-        batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
-                            rng.gamma(3.0, 1.0, (B, k)) + 0.2)
+        if method == "log_density_terms":
+            rows = permutation_matrix(k)[:B]
+            batch = ParamsBatch(rng.dirichlet(np.ones(k))[rows], rng.normal(0.0, 3.0, k)[rows],
+                                (rng.gamma(3.0, 1.0, k) + 0.2)[rows])
+        else:
+            batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
+                                rng.gamma(3.0, 1.0, (B, k)) + 0.2)
         tracemalloc.start()
         try:
-            cond.log_pooled_density(batch, permutation_matrix(k)[:P])
+            getattr(cond, method)(batch, permutation_matrix(k)[:P])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -629,6 +715,78 @@ class TestConditioningSetEngine:
         assert np.all(np.isneginf(got["overflowing_precision"][0]))
         assert np.all(np.isneginf(got["overflowing_precision"][1]))
         assert np.all(np.isneginf(got["subnormal_variance"][0]))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_degenerate_inputs_keep_recorded_values(self, small_normal_data, hier_prior,
+                                                    fixed_prior, hierarchical, monkeypatch):
+        """Each degenerate state keeps the value the kernel gave it before the
+        closed-form mean factor (`DEGENERATE_FINITE`), whole or in 2-point
+        chunks on one or three threads, without a warning."""
+        prior = hier_prior if hierarchical else fixed_prior
+        cond, batch = degenerate_case(small_normal_data, prior)
+        perms = permutation_matrix(3)[ROW_SETS["pair"]]
+        pooled = np.full((batch.size, 2), -np.inf)
+        terms = np.full((batch.size, 2, cond.J), -np.inf)
+        for name, (row_values, term_values) in DEGENERATE_FINITE[hierarchical].items():
+            pooled[DEGENERATE_STATES.index(name)] = row_values
+            terms[DEGENERATE_STATES.index(name)] = term_values
+        for budget in (model.KERNEL_BUDGET, 2 * 8 * 6):  # one chunk, 2-point chunks
+            for threads in (1, 3):
+                monkeypatch.setattr(model, "KERNEL_BUDGET", budget)
+                monkeypatch.setattr(model, "KERNEL_THREADS", threads)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = (cond.log_pooled_density(batch, perms),
+                           cond.log_density_terms(batch, perms))
+                for values, expected in zip(got, (pooled, terms)):
+                    finite = np.isfinite(expected)
+                    np.testing.assert_array_equal(values[~finite], expected[~finite])
+                    np.testing.assert_allclose(values[finite], expected[finite],
+                                               rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("method", ["log_pooled_density", "log_density_terms"])
+    def test_nan_guard_runs_only_where_a_block_holds_nan(self, small_normal_data, fixed_prior,
+                                                         method, monkeypatch):
+        """A NaN mean reaches the NaN guard, whose -inf is the state's value
+        (NaN without it); a finite state does not reach it."""
+        cond, batch = degenerate_case(small_normal_data, fixed_prior)
+        perms = permutation_matrix(3)[ROW_SETS["pair"]]
+        nan_mean = batch[[DEGENERATE_STATES.index("nan_mean")] * 2]
+        finite = batch[[DEGENERATE_STATES.index("tiny_weight")] * 2]
+        evaluate = getattr(cond, method)
+        guard = model._nan_to_neg_inf
+        calls = []
+
+        def spy(values):
+            calls.append(values.shape)
+            guard(values)
+
+        monkeypatch.setattr(model, "_nan_to_neg_inf", spy)
+        assert np.all(np.isfinite(evaluate(finite, perms)))
+        assert calls == []
+        assert np.all(np.isneginf(evaluate(nan_mean, perms)))
+        assert calls
+        monkeypatch.setattr(model, "_nan_to_neg_inf", lambda values: None)
+        assert np.all(np.isnan(evaluate(nan_mean, perms)))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("rows", ["identity", "all"])
+    def test_zero_variance_is_neg_inf(self, small_normal_data, hier_prior, fixed_prior, rows,
+                                      hierarchical):
+        """A variance of exactly 0 takes the limit of a vanishing one, -inf,
+        without a warning, and leaves the other point of its batch finite."""
+        prior = hier_prior if hierarchical else fixed_prior
+        cond = conditioning_set(small_normal_data, prior, np.random.default_rng(28), 3, 3)
+        batch = ParamsBatch([[0.2, 0.3, 0.5]] * 2, [[-1.0, 0.0, 1.0]] * 2,
+                            [[1.0, 0.0, 2.0], [1.0, 1.0, 2.0]],
+                            np.array([1.5, 1.5]) if hierarchical else None)
+        perms = permutation_matrix(3)[ROW_SETS[rows]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pooled = cond.log_pooled_density(batch, perms)
+            terms = cond.log_density_terms(batch, perms)
+        assert np.all(np.isneginf(pooled[0])) and np.all(np.isneginf(terms[0]))
+        assert np.all(np.isfinite(pooled[1])) and np.all(np.isfinite(terms[1]))
 
     def test_worker_exception_reaches_caller(self, small_normal_data, fixed_prior,
                                              monkeypatch):
