@@ -8,9 +8,10 @@ negligible permutation clusters, and iterative bridge sampling.  A label
 permutation applied to draws is a (k,) gather row (`permutation_rows`
 decodes one from its lexicographic index); only the permutation clusters
 of the symmetrized proposals and of Chib's permutation average enumerate
-all of S_k.  A parameter state is a row of a `GibbsChain` or a
-`ParamsBatch`, and every density is evaluated on batches; the pivot, like
-any single draw, is a one-draw chain.
+all of S_k.  A parameter state is a row of a `ParamsBatch`, and every
+density is evaluated on batches; a `GibbsChain` is the batch of stored
+draws with their allocations, and the pivot, like any single draw, is a
+one-draw chain.
 """
 
 from .numerics import (

@@ -6,9 +6,10 @@ importance sampling from a symmetrized single-draw proposal, importance
 sampling from a pooled proposal built on J relabelled Gibbs draws
 symmetrized over all k! label permutations (full and truncated to the
 contributing permutation clusters), a randomly-permuted mixture proposal,
-and iterative bridge sampling.  The pivot is a one-draw `GibbsChain`
-(`gibbs.select_pivot`), so the single-draw proposal pools it exactly as
-the dual proposal pools its J draws.
+and iterative bridge sampling.  A `GibbsChain` is a `ParamsBatch`, so the
+densities take a chain, its subsamples and the pivot as they are.  The
+pivot is a one-draw chain (`gibbs.select_pivot`), so the single-draw
+proposal pools it exactly as the dual proposal pools its J draws.
 
 All weight arithmetic is in log space.  Per-permutation cluster densities
 h_sigma(theta) = (1/J) sum_j pi(theta | sigma(draw_j), x), one column of
@@ -277,7 +278,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
     identity = np.arange(k, dtype=np.intp)[None, :]
     # the pivot's relabellings (permutation_averaged) or the pivot alone
     rows = permutation_matrix(k) if mode == "permutation_averaged" else identity
-    batch = permute_draws(pivot[np.zeros(len(rows), np.intp)], rows).params_batch()
+    batch = permute_draws(pivot[np.zeros(len(rows), np.intp)], rows)
     terms = cond.log_density_terms(batch, identity)[:, 0, :]        # (P, T)
     # per-draw series pooled over relabellings, for diagnostics
     per_draw = log_sum_exp(terms, axis=0) - math.log(len(rows))
@@ -288,7 +289,7 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
             "posterior ordinate underflowed: the pivot is unsupported by the chain"
         )
 
-    log_ev = log_posterior_batch(data, prior, pivot.params_batch())[0] - log_ordinate
+    log_ev = log_posterior_batch(data, prior, pivot)[0] - log_ordinate
     if mode == "k_fact":
         log_ev += math.log(math.factorial(k))
 
@@ -457,7 +458,7 @@ def bridge_sampling(data: Dataset, prior: PriorSpec, proposal: DualProposal,
     lq1 = proposal.log_q(q_batch)
     lp1 = log_posterior_batch(data, prior, q_batch)
 
-    post = _subsample(posterior_chain, M2, "M2", gen).params_batch()
+    post = _subsample(posterior_chain, M2, "M2", gen)
     lq2 = proposal.log_q(post)
     lp2 = log_posterior_batch(data, prior, post)
 

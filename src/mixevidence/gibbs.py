@@ -16,9 +16,10 @@ the shared scale.  The first sweep starts from the quantile allocation and
 skips the `gumbel` draw.  A change of these calls, their order or their
 arithmetic changes every chain.
 
-Stored draws are relabelled only afterwards, each by a (k,) gather row
-(`permute_draws`): uniformly at random in `permute_chain`, or towards a
-reference in `relabel.relabel_chain`.
+The stored draws are a `GibbsChain`, a `model.ParamsBatch` that also holds
+each draw's allocations.  They are relabelled only afterwards, each by a
+(k,) gather row (`permute_draws`, on any batch): uniformly at random in
+`permute_chain`, or towards a reference in `relabel.relabel_chain`.
 
 `chain[rows]` is the chain of the draws at `rows`, so a single draw is a
 one-draw chain.  The pivot is one: `select_pivot` returns the stored draw
@@ -79,24 +80,24 @@ class GibbsConfig:
         return 1 + (self.iterations - self.burn_in - 1) // self.thinning
 
 
-@dataclass
-class GibbsChain:
-    """Post-burn-in, thinned draws stored as flat arrays.
+@dataclass(kw_only=True)
+class GibbsChain(ParamsBatch):
+    """Post-burn-in, thinned draws: a `ParamsBatch` of T states with each
+    draw's (T, n) allocations and the sweep's allocation fallback count.
 
-    A parameter state with its allocation is a row of these arrays; a single
-    draw, such as the pivot, is a chain of length one.
+    A parameter state with its allocation is a row; a single draw, such as
+    the pivot, is a chain of length one.
     """
 
-    k: int
-    weights: np.ndarray          # (T, k)
-    means: np.ndarray            # (T, k)
-    variances: np.ndarray        # (T, k)
     allocations: np.ndarray      # (T, n) small ints
-    betas: np.ndarray | None     # (T,) under the hierarchical prior
     allocation_fallbacks: int = 0
 
-    def __len__(self) -> int:
-        return self.weights.shape[0]
+    def __post_init__(self):
+        super().__post_init__()
+        self.allocations = np.asarray(self.allocations)
+        if self.allocations.ndim != 2 or self.allocations.shape[0] != len(self):
+            raise ValueError(f"allocations must be a ({len(self)}, n) array, "
+                             f"not {self.allocations.shape}")
 
     @property
     def n(self) -> int:
@@ -109,23 +110,6 @@ class GibbsChain:
         flags = np.zeros(len(self), dtype=bool)
         flags[1:] = low[1:] != low[:-1]
         return flags
-
-    def __getitem__(self, rows) -> "GibbsChain":
-        """The draws at `rows`, an int, a slice or an index array, as a chain:
-        `chain[t]` is the one-draw chain of draw t."""
-        if isinstance(rows, (int, np.integer)):
-            rows = [rows]
-        return replace(
-            self,
-            weights=self.weights[rows],
-            means=self.means[rows],
-            variances=self.variances[rows],
-            allocations=self.allocations[rows],
-            betas=None if self.betas is None else self.betas[rows],
-        )
-
-    def params_batch(self) -> ParamsBatch:
-        return ParamsBatch(self.weights, self.means, self.variances, self.betas)
 
 
 def _init_allocation(x: np.ndarray, k: int) -> np.ndarray:
@@ -217,23 +201,22 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
                 B[out] = beta
             out += 1
 
-    return GibbsChain(k=k, weights=W, means=M, variances=V, allocations=Z, betas=B,
+    return GibbsChain(weights=W, means=M, variances=V, betas=B, allocations=Z,
                       allocation_fallbacks=total_fallbacks)
 
 
-def permute_draws(chain: GibbsChain, perms) -> GibbsChain:
-    """Relabel draw t, components and allocations, by the gather row perms[t]:
-    label i takes the values of label perms[t, i]."""
+def permute_draws(batch: ParamsBatch, perms) -> ParamsBatch:
+    """Relabel state t of a batch by the gather row perms[t]: label i takes
+    the values of label perms[t, i].  A chain's allocations follow their
+    components."""
     perms = np.asarray(perms, dtype=np.intp)
-    inverse = np.argsort(perms, axis=1)
-    return replace(
-        chain,
-        weights=np.take_along_axis(chain.weights, perms, axis=1),
-        means=np.take_along_axis(chain.means, perms, axis=1),
-        variances=np.take_along_axis(chain.variances, perms, axis=1),
-        allocations=np.take_along_axis(inverse, chain.allocations.astype(np.intp),
-                                       axis=1).astype(chain.allocations.dtype),
-    )
+    columns = {name: np.take_along_axis(getattr(batch, name), perms, axis=1)
+               for name in ("weights", "means", "variances")}
+    if isinstance(batch, GibbsChain):
+        inverse = np.argsort(perms, axis=1)
+        columns["allocations"] = np.take_along_axis(
+            inverse, batch.allocations.astype(np.intp), axis=1).astype(batch.allocations.dtype)
+    return replace(batch, **columns)
 
 
 def permute_chain(chain: GibbsChain, rng) -> GibbsChain:
@@ -252,12 +235,12 @@ def select_pivot(chain: GibbsChain, data: Dataset, prior: PriorSpec) -> GibbsCha
     """The stored draw with the highest joint posterior density, as a one-draw chain."""
     if len(chain) == 0:
         raise ValueError("cannot select a pivot from an empty chain")
-    return chain[int(np.argmax(log_posterior_batch(data, prior, chain.params_batch())))]
+    return chain[int(np.argmax(log_posterior_batch(data, prior, chain)))]
 
 
 def export_chain_csv(chain: GibbsChain, data: Dataset, prior: PriorSpec, path) -> None:
     """One row per draw: weights, means, variances, [beta,] z hash, log posterior."""
-    logpost = log_posterior_batch(data, prior, chain.params_batch())
+    logpost = log_posterior_batch(data, prior, chain)
     k = chain.k
     header = (
         [f"weight_{i}" for i in range(k)]

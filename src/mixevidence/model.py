@@ -4,8 +4,9 @@ The parameter state is theta = (weights, means, variances), optionally
 extended by a shared inverse-gamma scale `beta` under the hierarchical
 prior, in which case all joint densities (prior, posterior blocks) include
 the beta level so that evidence values remain well-defined integrals over
-the full state.  A state is a row of a `ParamsBatch` (or of a stored
-`gibbs.GibbsChain`); a single state is a batch or chain of one row.
+the full state.  A state is a row of a `ParamsBatch`; a stored Gibbs draw
+is a row of its subclass `gibbs.GibbsChain`, which adds the allocations,
+and a single state is a batch of one row.
 
 The central object for every estimator is the normalized "one Gibbs sweep"
 block density pi(theta | theta', z', x): weights given allocation counts,
@@ -64,7 +65,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -255,7 +256,10 @@ STATS_CHUNK = 256
 
 @dataclass
 class ParamsBatch:
-    """A batch of B parameter states as (B, k) arrays."""
+    """B parameter states as (B, k) arrays, with (B,) betas under the
+    hierarchical prior.  `batch[rows]` (an int, a slice or an index array)
+    indexes every row array alike and keeps the batch's type; an int gives
+    a one-row batch."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -266,21 +270,31 @@ class ParamsBatch:
         self.weights = np.atleast_2d(np.asarray(self.weights, float))
         self.means = np.atleast_2d(np.asarray(self.means, float))
         self.variances = np.atleast_2d(np.asarray(self.variances, float))
+        shape = self.weights.shape
+        if self.weights.ndim != 2 or self.means.shape != shape or self.variances.shape != shape:
+            raise ValueError("weights, means and variances must all be (B, k) arrays, not "
+                             f"{shape}, {self.means.shape} and {self.variances.shape}")
         if self.betas is not None:
             self.betas = np.atleast_1d(np.asarray(self.betas, float))
+            if self.betas.shape != shape[:1]:
+                raise ValueError(f"betas must be a ({shape[0]},) array, not {self.betas.shape}")
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
 
     @property
     def size(self) -> int:
-        return self.weights.shape[0]
+        return len(self)
 
     @property
     def k(self) -> int:
         return self.weights.shape[1]
 
-    def __getitem__(self, rows) -> "ParamsBatch":
-        """The states at `rows`, a slice or an index array, as a batch."""
-        return ParamsBatch(self.weights[rows], self.means[rows], self.variances[rows],
-                           None if self.betas is None else self.betas[rows])
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return replace(self, **{f.name: value[rows] for f in fields(self)
+                                if isinstance(value := getattr(self, f.name), np.ndarray)})
 
 
 def _chunk_edges(size: int, step: int) -> list[int]:
@@ -397,9 +411,13 @@ class ConditioningSet:
         # bincount casts narrower labels on every call; cast once
         allocs = np.atleast_2d(np.asarray(allocs, dtype=np.intp))
         J, k = means.shape
+        x = data.observations
+        if allocs.shape != (J, x.size):
+            raise ValueError(f"allocs must be ({J}, {x.size}), not {allocs.shape}")
+        if betas is not None and np.shape(betas) != (J,):
+            raise ValueError(f"betas must be a ({J},) array, not {np.shape(betas)}")
         if allocs.size and (allocs.min() < 0 or allocs.max() >= k):
             raise ValueError(f"allocation labels must lie in 0..{k - 1}")
-        x = data.observations
         counts = np.empty((J, k))
         sums = np.empty((J, k))
         sums_sq = np.empty((J, k))

@@ -3,11 +3,12 @@
 The library evaluates and samples the likelihood, the prior and the
 one-sweep block density only in batched form (`log_likelihood_batch`,
 `log_prior_batch`, `ConditioningSet`, `run_gibbs`), and holds a parameter
-state only as a row of a `ParamsBatch` or a `GibbsChain`.  This module
-keeps a per-draw implementation written independently of that code: a
-validated scalar state (`MixtureParams`, `Allocation`) with conversions to
-and from the library's rows, small distribution value objects with exact
-normalized log-densities, the scalar likelihood and prior, the sufficient
+state only as a row of a `ParamsBatch` (a `GibbsChain` is one that also
+holds the draws' allocations).  This module keeps a per-draw
+implementation written independently of that code: a validated scalar
+state (`MixtureParams`, `Allocation`) with conversions to and from the
+library's rows, small distribution value objects with exact normalized
+log-densities, the scalar likelihood and prior, the sufficient
 statistics of an allocation, the full conditionals, and the block density
 pi(theta | theta', z', x) with an exact sampler, and the relabelling of a
 chain towards a reference by exhaustive search over S_k.  It also keeps

@@ -18,12 +18,18 @@ from mixevidence.estimators import (
     log_weight_stderr,
     workload_gain,
 )
-from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
+from mixevidence.gibbs import (
+    GibbsChain,
+    GibbsConfig,
+    permute_chain,
+    permute_draws,
+    run_gibbs,
+    select_pivot,
+)
 from mixevidence.model import (
     Dataset,
     FixedPrior,
     HierarchicalPrior,
-    ParamsBatch,
     log_likelihood_batch,
     log_prior_batch,
 )
@@ -352,8 +358,7 @@ class TestImportanceEstimate:
         base = log_w(batch)
         assert np.all(np.isfinite(base))
         for row in permutation_matrix(3):
-            relabelled = ParamsBatch(batch.weights[:, row], batch.means[:, row],
-                                     batch.variances[:, row], batch.betas)
+            relabelled = permute_draws(batch, np.tile(row, (len(batch), 1)))
             np.testing.assert_allclose(log_w(relabelled), base, rtol=0, atol=1e-12)
 
     def test_record_is_json_serializable(self, tiny_two_group_data_module,
@@ -461,7 +466,7 @@ class TestChib:
     def test_unsupported_pivot_raises(self, tiny_two_group_data_module,
                                       fixed_prior_module, tiny_chain):
         # a variance this small underflows every ordinate term to -inf
-        bad = GibbsChain(k=2, weights=np.array([[0.5, 0.5]]), means=np.array([[0.0, 1.0]]),
+        bad = GibbsChain(weights=np.array([[0.5, 0.5]]), means=np.array([[0.0, 1.0]]),
                          variances=np.array([[1e-310, 1.0]]),
                          allocations=np.zeros((1, tiny_two_group_data_module.n), np.int16),
                          betas=None)

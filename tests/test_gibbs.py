@@ -21,7 +21,12 @@ from mixevidence.gibbs import (
     select_pivot,
 )
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
-from mixevidence.model import HierarchicalPrior, log_likelihood_batch, log_posterior_batch
+from mixevidence.model import (
+    HierarchicalPrior,
+    ParamsBatch,
+    log_likelihood_batch,
+    log_posterior_batch,
+)
 from mixevidence.numerics import RngStream, permutation_matrix, permutation_rows
 from mixevidence.oracle import log_marginal_group, posterior_moments_k1
 from mixevidence.relabel import relabel_chain
@@ -216,6 +221,24 @@ class TestPermutationStep:
         for name in ("weights", "means", "variances", "allocations"):
             np.testing.assert_array_equal(getattr(same, name), getattr(chain, name))
 
+    def test_plain_batch_takes_the_column_gather(self, chain):
+        """On a plain batch the relabelling is the gather of its (k,) columns."""
+        rows = permutation_rows(np.arange(len(chain)) % 6, chain.k)
+        batch = ParamsBatch(chain.weights, chain.means, chain.variances)
+        out = permute_draws(batch, rows)
+        assert type(out) is ParamsBatch
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(
+                getattr(out, name), np.take_along_axis(getattr(chain, name), rows, axis=1))
+        # the chain's own relabelling moves the same columns and its allocations too
+        moved = permute_draws(chain, rows)
+        assert type(moved) is GibbsChain
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(moved, name), getattr(out, name))
+        np.testing.assert_array_equal(
+            np.take_along_axis(moved.means, moved.allocations.astype(np.intp), 1),
+            np.take_along_axis(chain.means, chain.allocations.astype(np.intp), 1))
+
     # CRC32 of the relabelled arrays of a fixed synthetic chain: the stream
     # permute_chain draws and the row each draw maps to are frozen.
     PERMUTE_CRC32 = {
@@ -228,7 +251,7 @@ class TestPermutationStep:
     def test_permute_chain_pinned(self, k):
         rng = np.random.default_rng(k)
         T, n = 400, 25
-        chain = GibbsChain(k=k, weights=rng.dirichlet(np.ones(k), size=T),
+        chain = GibbsChain(weights=rng.dirichlet(np.ones(k), size=T),
                            means=rng.normal(size=(T, k)), variances=rng.gamma(2.0, size=(T, k)),
                            allocations=rng.integers(k, size=(T, n)).astype(np.int16), betas=None)
         out = permute_chain(chain, RngStream(21).substream("permute"))
@@ -237,15 +260,15 @@ class TestPermutationStep:
         assert got == self.PERMUTE_CRC32[k]
 
     def test_log_likelihood_invariant(self, small_normal_data, chain):
-        before = log_likelihood_batch(small_normal_data, chain.params_batch())
-        moved = permute_chain(chain, RngStream(9)).params_batch()
+        before = log_likelihood_batch(small_normal_data, chain)
+        moved = permute_chain(chain, RngStream(9))
         np.testing.assert_allclose(log_likelihood_batch(small_normal_data, moved), before,
                                    rtol=0, atol=1e-12)
 
     def test_uniform_frequency(self):
         k, trials = 3, 30_000
         base = np.arange(k, dtype=float)
-        chain = GibbsChain(k=k, weights=np.full((trials, k), 1 / k),
+        chain = GibbsChain(weights=np.full((trials, k), 1 / k),
                            means=np.tile(base, (trials, 1)), variances=np.ones((trials, k)),
                            allocations=np.zeros((trials, 1), dtype=np.int16), betas=None)
         # the means of a draw relabelled by a row are the row itself
@@ -262,7 +285,7 @@ class TestPermutationStep:
         """Past the cap on listing S_k, each draw still takes the decoded row of
         its uniform index, and its allocations follow its components."""
         T = 300
-        chain = GibbsChain(k=k, weights=np.full((T, k), 1 / k),
+        chain = GibbsChain(weights=np.full((T, k), 1 / k),
                            means=np.tile(np.arange(k, dtype=float), (T, 1)),
                            variances=np.ones((T, k)),
                            allocations=np.tile(np.arange(k), (T, 2)).astype(np.int16),
@@ -296,8 +319,8 @@ class TestPermutationStep:
         )
         permuted = permute_chain(chain, RngStream(8))
         # per-draw joint posterior is invariant under relabelling
-        base = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
-        moved = log_posterior_batch(small_normal_data, fixed_prior, permuted.params_batch())
+        base = log_posterior_batch(small_normal_data, fixed_prior, chain)
+        moved = log_posterior_batch(small_normal_data, fixed_prior, permuted)
         np.testing.assert_allclose(moved, base, atol=1e-9)
         # allocations stay consistent with their draw's component order
         t = 3
@@ -336,10 +359,12 @@ class TestChainIndexing:
         assert len(one) == 1 and one.n == chain.n
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(one, name), getattr(chain, name)[[t]])
-        # the one-draw batch of the draw, as ParamsBatch[t] gives it
-        batch, expected = one.params_batch(), chain.params_batch()[t]
+        assert type(one) is GibbsChain
+        # the same one-row states as a plain batch of the chain's states gives
+        expected = ParamsBatch(chain.weights, chain.means, chain.variances, chain.betas)[t]
+        assert type(expected) is ParamsBatch
         for name in ("weights", "means", "variances", "betas"):
-            np.testing.assert_array_equal(getattr(batch, name), getattr(expected, name))
+            np.testing.assert_array_equal(getattr(one, name), getattr(expected, name))
 
     def test_int_out_of_range(self, chain):
         with pytest.raises(IndexError):
@@ -349,6 +374,33 @@ class TestChainIndexing:
         chain = run_gibbs(small_normal_data, fixed_prior, 2,
                           GibbsConfig(iterations=30, burn_in=20, seed=15))
         assert chain[3].betas is None and chain[2:5].betas is None
+
+
+class TestChainShapes:
+    """A chain's k and n come from its arrays, which it checks like a batch."""
+
+    def test_k_is_the_arrays_width(self):
+        T, n = 4, 6
+        chain = GibbsChain(weights=np.full((T, 2), 0.5), means=np.zeros((T, 2)),
+                           variances=np.ones((T, 2)),
+                           allocations=np.zeros((T, n), dtype=np.int16))
+        assert (chain.k, chain.n, len(chain)) == (2, n, T)
+        with pytest.raises(TypeError, match="k"):
+            GibbsChain(k=3, weights=chain.weights, means=chain.means,
+                       variances=chain.variances, allocations=chain.allocations)
+
+    def test_component_arrays_checked(self):
+        T, n = 4, 6
+        with pytest.raises(ValueError, match=r"\(B, k\)"):
+            GibbsChain(weights=np.full((T, 2), 0.5), means=np.zeros((T, 3)),
+                       variances=np.ones((T, 2)),
+                       allocations=np.zeros((T, n), dtype=np.int16))
+
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 6), (6,)])
+    def test_allocations_must_be_one_row_per_draw(self, shape):
+        with pytest.raises(ValueError, match="allocations"):
+            GibbsChain(weights=np.full((4, 2), 0.5), means=np.zeros((4, 2)),
+                       variances=np.ones((4, 2)), allocations=np.zeros(shape, dtype=np.int16))
 
 
 class TestSelectPivot:
@@ -370,7 +422,7 @@ class TestSelectPivot:
         )
         params, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(params, fixed_prior) + log_likelihood(small_normal_data, params)
-        lp = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
+        lp = log_posterior_batch(small_normal_data, fixed_prior, chain)
         assert best == pytest.approx(lp.max())
         assert np.all(best >= lp - 1e-12)
 
@@ -379,7 +431,7 @@ class TestSelectPivot:
             small_normal_data, fixed_prior, 2,
             GibbsConfig(iterations=500, burn_in=100, seed=11),
         )
-        lp = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
+        lp = log_posterior_batch(small_normal_data, fixed_prior, chain)
         assert lp.max() >= np.median(lp)
 
 
@@ -396,7 +448,7 @@ class TestExport:
         assert len(rows) == len(chain)
         got = np.array([float(r["mean_0"]) for r in rows])
         np.testing.assert_allclose(got, chain.means[:, 0])
-        lp = log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch())
+        lp = log_posterior_batch(small_normal_data, fixed_prior, chain)
         np.testing.assert_allclose(
             [float(r["log_posterior"]) for r in rows], lp, rtol=1e-12
         )

@@ -76,6 +76,40 @@ class TestTypes:
             np.testing.assert_allclose(centered[i], ((x[z == i] - 0.7) ** 2).sum())
 
 
+class TestParamsBatch:
+    """A batch checks its own shapes, and indexing keeps its type."""
+
+    @pytest.mark.parametrize("wide", ["weights", "means", "variances"])
+    def test_component_arrays_must_share_one_shape(self, wide):
+        arrays = {"weights": np.full((3, 2), 0.5), "means": np.zeros((3, 2)),
+                  "variances": np.ones((3, 2))}
+        arrays[wide] = np.ones((3, 3))
+        with pytest.raises(ValueError, match=r"\(B, k\)"):
+            ParamsBatch(**arrays)
+
+    def test_three_dimensional_arrays_rejected(self):
+        with pytest.raises(ValueError, match=r"\(B, k\)"):
+            ParamsBatch(np.full((2, 3, 2), 0.5), np.zeros((2, 3, 2)), np.ones((2, 3, 2)))
+
+    @pytest.mark.parametrize("betas", [[1.0], [1.0, 2.0], np.ones((3, 1))])
+    def test_betas_must_have_one_entry_per_state(self, betas):
+        with pytest.raises(ValueError, match="betas"):
+            ParamsBatch(np.full((3, 2), 0.5), np.zeros((3, 2)), np.ones((3, 2)), betas)
+
+    @pytest.mark.parametrize("rows", [1, np.int64(-1), slice(0, 2), np.array([2, 0])],
+                             ids=["int", "np-int", "slice", "array"])
+    def test_indexing_keeps_type_and_rows(self, rows):
+        rng = np.random.default_rng(3)
+        batch = ParamsBatch(rng.dirichlet(np.ones(2), 3), rng.normal(size=(3, 2)),
+                            rng.gamma(2.0, size=(3, 2)), rng.gamma(2.0, size=3))
+        out = batch[rows]
+        assert type(out) is ParamsBatch
+        picked = [rows] if isinstance(rows, (int, np.integer)) else rows
+        for name in ("weights", "means", "variances", "betas"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(batch, name)[picked])
+        assert len(out) == out.size == len(np.arange(3)[picked])
+
+
 class TestLikelihood:
     def test_single_component_reduces_to_normal(self, small_normal_data):
         params = MixtureParams([1.0], [0.4], [1.3])
@@ -529,6 +563,22 @@ class TestConditioningSetEngine:
             ConditioningSet.from_draws(small_normal_data, fixed_prior,
                                        np.zeros((2, 2)), allocs)
 
+    def test_from_draws_rejects_allocations_of_other_draws(self, small_normal_data,
+                                                           fixed_prior):
+        """Allocations are one row of n labels per draw, not a longer or shorter list."""
+        n = small_normal_data.n
+        for allocs in (np.zeros((5, n), int), np.zeros((3, n - 1), int), np.zeros(n, int)):
+            with pytest.raises(ValueError, match="allocs"):
+                ConditioningSet.from_draws(small_normal_data, fixed_prior,
+                                           np.zeros((3, 2)), allocs)
+
+    def test_from_draws_rejects_betas_of_other_draws(self, small_normal_data, hier_prior):
+        n = small_normal_data.n
+        for betas in ([2.0], np.ones(4), np.ones((5, 1))):
+            with pytest.raises(ValueError, match="betas"):
+                ConditioningSet.from_draws(small_normal_data, hier_prior, np.zeros((5, 2)),
+                                           np.zeros((5, n), int), betas)
+
     def test_evaluation_counter(self, small_normal_data, fixed_prior):
         rng = np.random.default_rng(14)
         k, J, B = 2, 5, 7
@@ -829,7 +879,7 @@ class TestConditioningSetEngine:
         draws = chain[::8]
         cond = ConditioningSet.from_draws(data, prior, draws.means, draws.allocations,
                                           draws.betas)
-        batch = chain[3::8].params_batch()
+        batch = chain[3::8]
         for perms in (permutation_matrix(k)[:1], permutation_matrix(k)):
             terms = cond.log_density_terms(batch, perms)
             shifted = terms - terms.max(axis=-1, keepdims=True)

@@ -177,7 +177,7 @@ class TestPermutations:
         P = math.factorial(k)
         values = np.tile([10.0, 20.0, 30.0], (P, 1))
         labels = np.tile([0, 1, 2, 2], (P, 1)).astype(np.int16)
-        chain = GibbsChain(k=k, weights=np.full((P, k), 1 / k), means=values,
+        chain = GibbsChain(weights=np.full((P, k), 1 / k), means=values,
                            variances=np.ones((P, k)), allocations=labels, betas=None)
         moved = permute_draws(chain, permutation_matrix(k))
         np.testing.assert_array_equal(moved.means, values[0][permutation_matrix(k)])

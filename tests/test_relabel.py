@@ -17,9 +17,8 @@ from reference import (
 
 
 def _chain_from_arrays(weights, means, variances, n_obs=10) -> GibbsChain:
-    T, k = means.shape
+    T = means.shape[0]
     return GibbsChain(
-        k=k,
         weights=weights,
         means=means,
         variances=variances,
@@ -51,7 +50,6 @@ class TestRelabelChain:
 
     def test_flipped_chain_recovered(self, aligned_chain):
         flipped = GibbsChain(
-            k=2,
             weights=aligned_chain.weights[:, ::-1].copy(),
             means=aligned_chain.means[:, ::-1].copy(),
             variances=aligned_chain.variances[:, ::-1].copy(),
@@ -91,7 +89,6 @@ class TestRelabelChain:
         base = relabel_chain(mixed, ref)
         flip = np.array([1, 0])
         globally_flipped = GibbsChain(
-            k=2,
             weights=mixed.weights[:, flip].copy(),
             means=mixed.means[:, flip].copy(),
             variances=mixed.variances[:, flip].copy(),
@@ -158,7 +155,7 @@ def test_relabel_undoes_permute_beyond_enumeration_cap(k):
     rng = np.random.default_rng(k)
     T = 200
     labels = np.arange(k)
-    chain = GibbsChain(k=k, weights=rng.dirichlet(2_000.0 * (1 + labels), size=T),
+    chain = GibbsChain(weights=rng.dirichlet(2_000.0 * (1 + labels), size=T),
                        means=10.0 * labels + rng.normal(0.0, 0.1, (T, k)),
                        variances=np.exp(0.3 * labels) * rng.gamma(2_500.0, 1 / 2_500, (T, k)),
                        allocations=rng.integers(k, size=(T, 15)).astype(np.int16), betas=None)
@@ -186,5 +183,5 @@ class TestReference:
         ref, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(ref, fixed_prior) + log_likelihood(small_normal_data, ref)
         assert best == pytest.approx(
-            log_posterior_batch(small_normal_data, fixed_prior, chain.params_batch()).max()
+            log_posterior_batch(small_normal_data, fixed_prior, chain).max()
         )
