@@ -1,11 +1,17 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (write a dataset file), ``gibbs`` (run and export
-a chain), ``estimate`` (one estimator on one dataset), ``compare`` (the
-full replicated estimator comparison) and ``calibrate`` (the permutation
-cluster contribution report of the ``sym_is_trunc`` estimate).  ``compare``
-and ``estimate`` accept a JSON config file; explicit flags override file
-values.
+Subcommands: ``simulate`` (write the dataset of a config), ``gibbs`` (run
+and export replicate 0's chain), ``estimate`` (one estimator on one
+replicate, printed as its JSON row; the ``sym_is_trunc`` row carries the
+truncation report: ``A_size``, ``phi_hat``, ``delta``, ``eta_bar`` and
+``ordering``) and ``compare`` (the full replicated estimator comparison).
+
+Every subcommand reads an `ExperimentConfig`: a JSON config file, if given,
+overridden by explicit flags.  Each config flag is declared once, in the
+flag group of the settings it sets, with no default of its own, so an unset
+flag takes the config file's value or the `ExperimentConfig` default.  A
+subcommand takes only the groups it uses, and the harness derives its data
+and chain from the config and seed as `compare` does.
 """
 
 from __future__ import annotations
@@ -14,25 +20,35 @@ import argparse
 import json
 import sys
 
-from .datasets import generate_dataset
-from .gibbs import export_chain_csv, permute_chain, run_gibbs
+from .gibbs import export_chain_csv
 from .harness import (
     KNOWN_ESTIMATORS,
     ExperimentConfig,
     parse_prior,
+    replicate_chains,
     resolve_dataset,
     run_experiment,
     run_replicate,
 )
-from .numerics import RngStream
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser, out_help: str, out_required=False) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--dataset", help="builtin name (d1, d2, galaxy, fishery) or file path")
+    p.add_argument("--n", type=int, help="sample size for simulated datasets")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", required=out_required, help=out_help)
+
+
+def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="number of mixture components")
     p.add_argument("--prior", help="'fixed:a,b' or 'rg'")
-    p.add_argument("--estimators", help="comma-separated subset of: " + ",".join(KNOWN_ESTIMATORS))
+    p.add_argument("--iterations", type=int, help="total Gibbs sweeps")
+    p.add_argument("--burn-in", type=int, dest="burn_in")
+    p.add_argument("--thinning", type=int)
+
+
+def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=int, help="importance particles per estimator")
     p.add_argument("--J", type=int, help="pooled draws in the symmetrized proposal")
     p.add_argument("--J1", type=int, help="draws in the permuted-mixture proposal")
@@ -41,19 +57,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--M2", type=int, help="bridge draws from the posterior")
     p.add_argument("--bridge-iterations", type=int, dest="bridge_iterations")
     p.add_argument("--tau", type=float, help="truncation threshold")
-    p.add_argument("--iterations", type=int, help="total Gibbs sweeps")
-    p.add_argument("--burn-in", type=int, dest="burn_in")
-    p.add_argument("--thinning", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int, help="sample size for simulated datasets")
-    p.add_argument("--out", help="output directory (or file, per subcommand)")
-    p.add_argument("--threads", type=int, help="concurrent replicate workers")
 
 
 def _config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
     payload: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             payload.update(json.load(fh))
     for key in ExperimentConfig.__dataclass_fields__:
@@ -69,8 +77,9 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig
 
 
 def _cmd_simulate(args) -> int:
-    data = generate_dataset(args.dataset, n=args.n, rng=args.seed)
-    lines = [f"# simulated dataset {data.name!r} (n={data.n}, seed={args.seed})"]
+    config = _config_from_args(args, estimators=())  # the data, no estimates
+    data = resolve_dataset(config)
+    lines = [f"# dataset {data.name!r} (n={data.n}, seed={config.seed})"]
     lines += [f"{v:.17g}" for v in data.observations]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -82,14 +91,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    config = _config_from_args(args, estimators=(), out=None)  # a chain, no estimates
+    config = _config_from_args(args, estimators=())  # a chain, no estimates
     data = resolve_dataset(config)
     prior = parse_prior(config.prior, data)
-    stream = RngStream(config.seed).substream("replicate", 0)
-    chain = run_gibbs(data, prior, config.k, config.gibbs_config(),
-                      rng=stream.substream("gibbs"))
-    if args.permute:
-        chain = permute_chain(chain, stream.substream("permute"))
+    _, chain, permuted = replicate_chains(config, data, prior, replicate=0)
+    chain = permuted if args.permute else chain
     export_chain_csv(chain, data, prior, args.out)
     switches = int(chain.switch_flags.sum())
     print(f"wrote {len(chain)} draws to {args.out} "
@@ -129,27 +135,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    config = _config_from_args(args, estimators=("sym_is_trunc",), replicates=1, out=None)
-    data = resolve_dataset(config)
-    prior = parse_prior(config.prior, data)
-    row = run_replicate(config, data, prior, replicate=args.replicate)[0]
-    if row["error"]:
-        print(f"sym_is_trunc failed: {row['error']}", file=sys.stderr)
-        return 1
-    print(f"ranked mean cluster contributions (M={row['M']}, tau={row['tau']:g}):")
-    for rank, (idx, eta) in enumerate(zip(row["ordering"], row["eta_bar"]), start=1):
-        marker = "*" if rank <= row["A_size"] else " "
-        print(f" {marker} rank {rank:>3}  cluster {idx:>3}  eta_bar={eta:.6g}")
-    print(f"|A| = {row['A_size']}, phi_hat = {row['phi_hat']:.6g}, "
-          f"workload fraction = {row['delta']:.4f}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(row, fh, indent=1)
-            fh.write("\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixevidence",
@@ -157,42 +142,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="write a simulated dataset file")
-    p.add_argument("--dataset", default="d1", help="d1 or d2")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("simulate", help="write the dataset of a config")
+    _add_data_flags(p, "output file (default: standard output)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("gibbs", help="run one chain and export it as CSV")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prior", default="fixed:2,3")
-    p.add_argument("--iterations", type=int, default=15_000)
-    p.add_argument("--burn-in", type=int, dest="burn_in", default=5_000)
-    p.add_argument("--thinning", type=int, default=1)
+    p = sub.add_parser("gibbs", help="run replicate 0's chain and export it as CSV")
+    _add_data_flags(p, "output CSV file", out_required=True)
+    _add_chain_flags(p)
     p.add_argument("--random-permutation", action="store_true", dest="permute",
-                   help="relabel each stored draw by a uniformly drawn label "
-                        "permutation after the run")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", required=True)
+                   help="export the chain with each stored draw relabelled by a "
+                        "uniformly drawn label permutation, as chib_perm and "
+                        "bridge use it")
     p.set_defaults(func=_cmd_gibbs)
 
     p = sub.add_parser("estimate", help="run one estimator once")
     p.add_argument("--estimator", required=True, choices=KNOWN_ESTIMATORS)
     p.add_argument("--replicate", type=int, default=0)
-    _add_config_flags(p)
+    _add_data_flags(p, "output JSON file (default: standard output)")
+    _add_chain_flags(p)
+    _add_estimator_flags(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("compare", help="replicated comparison of the estimators")
-    _add_config_flags(p)
+    _add_data_flags(p, "output directory")
+    _add_chain_flags(p)
+    _add_estimator_flags(p)
+    p.add_argument("--estimators", help="comma-separated subset of: " + ",".join(KNOWN_ESTIMATORS))
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--threads", type=int, help="concurrent replicate workers")
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("calibrate", help="cluster contribution / truncation report")
-    p.add_argument("--replicate", type=int, default=0)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_calibrate)
 
     return parser
 

@@ -62,12 +62,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sweep counts, thinning and the default seed."""
+    """Sweep counts and thinning."""
 
     iterations: int = 15_000
     burn_in: int = 5_000
     thinning: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.iterations > self.burn_in >= 0:
@@ -151,11 +150,11 @@ def _sample_allocation(xc, weights, means, variances, gen):
 
 
 def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
-              rng=None) -> GibbsChain:
+              rng) -> GibbsChain:
     """Run the sampler; draws are deterministic given (data, prior, config, rng)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    gen = as_generator(rng if rng is not None else config.seed)
+    gen = as_generator(rng)
     x = data.observations
     n = x.size
     xc = x[:, None]

@@ -4,7 +4,9 @@ A run is: draw (or load) a dataset once, then for each replicate run a
 fresh Gibbs chain, select the pivot, relabel, build the proposals and
 execute every requested estimator with its own keyed substream.  Replicate
 results are deterministic functions of (config, seed) regardless of
-execution order or thread count.
+execution order or thread count.  `resolve_dataset` and `replicate_chains`
+key the dataset's and a replicate's chain's streams, so the command line's
+``simulate`` and ``gibbs`` write the data and chain a replicate uses.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .estimators import (
     chib,
     importance_estimate,
 )
-from .gibbs import GibbsConfig, permute_chain, run_gibbs, select_pivot
+from .gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
 from .model import Dataset, FixedPrior, HierarchicalPrior, PriorSpec
 from .numerics import RngStream
 from .relabel import relabel_chain
@@ -42,6 +44,7 @@ __all__ = [
     "RunRecord",
     "parse_prior",
     "resolve_dataset",
+    "replicate_chains",
     "run_experiment",
     "run_replicate",
     "summarize",
@@ -115,12 +118,8 @@ class ExperimentConfig:
         return min(100 * math.factorial(self.k), 5_000)
 
     def gibbs_config(self) -> GibbsConfig:
-        return GibbsConfig(
-            iterations=self.iterations,
-            burn_in=self.burn_in,
-            thinning=self.thinning,
-            seed=self.seed,
-        )
+        return GibbsConfig(iterations=self.iterations, burn_in=self.burn_in,
+                           thinning=self.thinning)
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -161,13 +160,21 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     return load_dataset(name)
 
 
-def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
-                  replicate: int) -> list[dict]:
-    """All requested estimators on one fresh chain; failures are recorded rows."""
+def replicate_chains(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
+                     replicate: int) -> tuple[RngStream, GibbsChain, GibbsChain]:
+    """The replicate's stream, its Gibbs chain and the chain's randomly
+    relabelled copy; the replicate's estimators draw from substreams of the
+    stream."""
     stream = RngStream(config.seed).substream("replicate", replicate)
     chain = run_gibbs(data, prior, config.k, config.gibbs_config(),
                       rng=stream.substream("gibbs"))
-    permuted = permute_chain(chain, stream.substream("permute"))
+    return stream, chain, permute_chain(chain, stream.substream("permute"))
+
+
+def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
+                  replicate: int) -> list[dict]:
+    """All requested estimators on one fresh chain; failures are recorded rows."""
+    stream, chain, permuted = replicate_chains(config, data, prior, replicate)
     pivot = select_pivot(chain, data, prior)
 
     dual = None

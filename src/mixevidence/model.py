@@ -312,6 +312,16 @@ def _chunk_edges(size: int, step: int) -> list[int]:
     return edges
 
 
+def _sum_columns(values: np.ndarray) -> np.ndarray:
+    """Row sums of a (B, k) array, added column by column from the left: the
+    order of a sequential loop over a row, for any k, so that a row's sum
+    does not depend on B (`np.sum` adds eight or more terms pairwise)."""
+    out = values[:, 0].copy()
+    for column in values.T[1:]:
+        out += column
+    return out
+
+
 def _nan_to_neg_inf(values: np.ndarray) -> None:
     """Set the NaN entries of `values` to -inf."""
     np.copyto(values, -np.inf, where=np.isnan(values))
@@ -391,7 +401,6 @@ class ConditioningSet:
     sums: np.ndarray        # (J, k)
     ig_shape: np.ndarray    # (J, k)
     ig_scale: np.ndarray    # (J, k)
-    ig_power: np.ndarray    # (J, k) ig_shape + 1, the power of 1/variance
     ig_const: np.ndarray    # (J,) permutation-invariant normalising constants
     evaluations: int = field(default=0, repr=False)
 
@@ -440,7 +449,7 @@ class ConditioningSet:
         dir_const = gammaln(k + counts.sum(axis=1)) - gammaln(1.0 + counts).sum(axis=1)
         ig_const = dir_const + np.sum(ig_shape * np.log(ig_scale) - gammaln(ig_shape), axis=1)
         return cls(prior=prior, counts=counts, sums=sums, ig_shape=ig_shape,
-                   ig_scale=ig_scale, ig_power=ig_shape + 1.0, ig_const=ig_const)
+                   ig_scale=ig_scale, ig_const=ig_const)
 
     def _batch_pieces(self, batch: ParamsBatch, left: np.ndarray) -> np.ndarray:
         """Fill `left`, a (B, 3k + 1) array, with [log w | log v | 1/v | 1], the
@@ -461,20 +470,11 @@ class ConditioningSet:
             np.copyto(logw, -1e300, where=np.isneginf(logw))
             np.log(batch.variances, out=logv)
             np.divide(1.0, batch.variances, out=inv_v)
-            # component by component, so that a point's sum does not depend on B
-            shared = logv[:, 0].copy()
-            for i in range(1, k):
-                shared += logv[:, i]
+            shared = _sum_columns(logv)
             shared *= -0.5
             shared -= 0.5 * k * LOG_2PI
             if prior.hierarchical:
-                g_shape, g_rate = beta_conditional(prior, batch.variances)
-                shared += (
-                    g_shape * np.log(g_rate)
-                    - gammaln(g_shape)
-                    + (g_shape - 1.0) * np.log(batch.betas)
-                    - g_rate * batch.betas
-                )
+                shared += gamma_logpdf(batch.betas, *beta_conditional(prior, batch.variances))
         # a zero variance gives +inf and an infinite rate inf - inf; the
         # log-density's limit at either is -inf
         np.copyto(shared, -np.inf, where=~(shared < np.inf))
@@ -551,7 +551,7 @@ class ConditioningSet:
         for i in range(k):
             c = perms[:, i]
             right[:, i] = self.counts.T[c]
-            np.negative(self.ig_power.T[c], out=right[:, k + i])
+            np.negative(self.ig_shape.T[c] + 1.0, out=right[:, k + i])
             np.negative(self.ig_scale.T[c], out=right[:, 2 * k + i])
         right[:, 3 * k] = self.ig_const
         pair_right = np.empty((pairs, 3, J))
@@ -650,8 +650,9 @@ class ConditioningSet:
 
         Every factor is drawn for the whole batch in one pass from its
         draw's gathered statistics: the weights as standard gammas of shape
-        1 + counts normalised per row (the Dirichlet law, as numpy draws it
-        for concentrations of 1 or more), the variances as inverse gammas,
+        1 + counts, each row scaled by the inverse of its sum taken left to
+        right (the Dirichlet law, as numpy draws and sums it for
+        concentrations of 1 or more), the variances as inverse gammas,
         the means as normals given the fresh variances, and beta given the
         fresh variances.  Each value is rounded as numpy's `dirichlet`,
         `gamma` and `normal` round it, so a batch that conditions on one
@@ -664,7 +665,7 @@ class ConditioningSet:
         prior = self.prior
         counts = self.counts[draw_indices]
         weights = gen.standard_gamma(1.0 + counts)
-        weights *= 1.0 / weights.sum(axis=-1, keepdims=True)
+        weights *= 1.0 / _sum_columns(weights)[:, None]
         variances = self.ig_scale[draw_indices] / gen.standard_gamma(self.ig_shape[draw_indices])
         mean, var = mean_conditional(prior, counts, self.sums[draw_indices], variances)
         means = mean + np.sqrt(var) * gen.standard_normal(mean.shape)

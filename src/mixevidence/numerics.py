@@ -112,11 +112,10 @@ def permutation_matrix(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def normal_logpdf(x, mean, var):
-    x, mean, var = np.broadcast_arrays(np.asarray(x, float), mean, var)
     # a subnormal variance overflows (x - mean)^2 / var to inf where x != mean,
     # and the density's limit there is 0
     with np.errstate(over="ignore"):
-        return -0.5 * (LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
+        return -0.5 * (LOG_2PI + np.log(var) + (np.asarray(x, float) - mean) ** 2 / var)
 
 
 def inverse_gamma_logpdf(x, shape, scale):

@@ -284,7 +284,7 @@ def test_criterion_6_kfact_bias(d2_batch):
     stream = RngStream(d2_batch["cfg"].seed).substream("replicate", 0)
     # longer chain purely for ordinate resolution on the diffuse posterior
     chain = run_gibbs(data, prior, 3,
-                      GibbsConfig(iterations=45_000, burn_in=5_000, seed=3),
+                      GibbsConfig(iterations=45_000, burn_in=5_000),
                       rng=stream.substream("gibbs-long"))
     pivot = select_pivot(chain, data, prior)
     kf = chib(data, prior, chain, pivot, "k_fact")
@@ -299,7 +299,7 @@ def test_criterion_6_kfact_bias(d2_batch):
                            name="sep3")
     prior3 = parse_prior("fixed:2,3", sep)
     frozen = run_gibbs(sep, prior3, 3,
-                       GibbsConfig(iterations=15_000, burn_in=5_000, seed=1),
+                       GibbsConfig(iterations=15_000, burn_in=5_000),
                        rng=RngStream(77).substream("gibbs"))
     assert int(frozen.switch_flags.sum()) == 0
     piv3 = select_pivot(frozen, sep, prior3)
@@ -336,7 +336,7 @@ def test_criterion_8_invariant_suite(d1_batch):
         prior = mx.FixedPrior(var_shape=2.0, var_scale=3.0)
         stream = RngStream(500 + k)
         chain = run_gibbs(data, prior, k,
-                          GibbsConfig(iterations=2_000, burn_in=500, seed=k),
+                          GibbsConfig(iterations=2_000, burn_in=500),
                           rng=stream.substream("gibbs"))
         pivot = select_pivot(chain, data, prior)
         rel = relabel_chain(chain, pivot)

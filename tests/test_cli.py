@@ -25,6 +25,20 @@ def test_simulate_custom_n(tmp_path):
     assert load_dataset(out).n == 17
 
 
+@pytest.mark.parametrize("flags, settings", [
+    (["--dataset", "d1", "--seed", "3"], {"dataset": "d1", "seed": 3}),
+    (["--dataset", "d2", "--n", "17", "--seed", "5"], {"dataset": "d2", "n": 17, "seed": 5}),
+    (["--seed", "8"], {"seed": 8}),
+])
+def test_simulate_writes_the_dataset_of_the_config(tmp_path, flags, settings):
+    """The file holds, to the last bit, the dataset that `compare` and
+    `estimate` draw for the same config and seed."""
+    out = tmp_path / "data.txt"
+    assert main(["simulate", *flags, "--out", str(out)]) == 0
+    np.testing.assert_array_equal(load_dataset(out).observations,
+                                  resolve_dataset(ExperimentConfig(**settings)).observations)
+
+
 def test_gibbs_exports_chain(tmp_path):
     out = tmp_path / "chain.csv"
     code = main([
@@ -100,36 +114,20 @@ def test_compare_with_config_file(tmp_path, capsys):
     assert "log_evidence" in out
 
 
-def test_calibrate_prints_report(tmp_path, capsys):
-    out = tmp_path / "report.json"
+def test_estimate_reports_truncation(tmp_path):
+    """The sym_is_trunc row carries the permutation cluster report."""
+    out = tmp_path / "row.json"
     code = main([
-        "calibrate", "--dataset", "d1", "--k", "2", "--prior", "fixed:2,3",
-        "--J", "20", "--M", "100", "--T", "500",
+        "estimate", "--estimator", "sym_is_trunc", "--dataset", "d1", "--k", "2",
+        "--prior", "fixed:2,3", "--J", "20", "--M", "100", "--T", "500",
         "--iterations", "400", "--burn-in", "100", "--seed", "5",
         "--out", str(out),
     ])
     assert code == 0
-    printed = capsys.readouterr().out
-    assert "|A| =" in printed
-    report = json.loads(out.read_text())
-    assert 1 <= report["A_size"] <= 2
-    assert len(report["eta_bar"]) == 2
-
-
-def test_calibrate_describes_the_truncated_row(tmp_path, capsys):
-    """calibrate reports the truncation the sym_is_trunc estimate used."""
-    flags = ["--dataset", "galaxy", "--k", "4", "--prior", "rg",
-             "--iterations", "4000", "--burn-in", "1000", "--seed", "3"]
-    calibrated = tmp_path / "report.json"
-    estimated = tmp_path / "row.json"
-    assert main(["calibrate", *flags, "--out", str(calibrated)]) == 0
-    assert main(["estimate", "--estimator", "sym_is_trunc", *flags,
-                 "--out", str(estimated)]) == 0
-    report = json.loads(calibrated.read_text())
-    row = json.loads(estimated.read_text())
-    for key in ("A_size", "phi_hat", "delta", "eta_bar", "ordering"):
-        assert report[key] == row[key], key
-    assert f"|A| = {row['A_size']}," in capsys.readouterr().out
+    row = json.loads(out.read_text())
+    assert 1 <= row["A_size"] <= 2
+    assert len(row["eta_bar"]) == len(row["ordering"]) == 2
+    assert 0.0 < row["delta"] <= 1.0 and row["phi_hat"] >= 0.0
 
 
 def test_estimate_reports_failure_nonzero_exit(tmp_path):

@@ -61,7 +61,7 @@ def tiny3_data() -> Dataset:
 def tiny_chain(tiny_two_group_data_module, fixed_prior_module):
     return run_gibbs(
         tiny_two_group_data_module, fixed_prior_module, 2,
-        GibbsConfig(iterations=4_000, burn_in=1_000, seed=3),
+        GibbsConfig(iterations=4_000, burn_in=1_000),
         rng=RngStream(30).substream("gibbs"),
     )
 
@@ -242,7 +242,7 @@ class TestSeparatedClusterGap:
         ])), "d1ish")
         prior = FixedPrior(var_shape=2.0, var_scale=3.0)
         chain = run_gibbs(data, prior, 2,
-                          GibbsConfig(iterations=3_000, burn_in=1_000, seed=4),
+                          GibbsConfig(iterations=3_000, burn_in=1_000),
                           rng=RngStream(44).substream("gibbs"))
         pivot = select_pivot(chain, data, prior)
         rel = relabel_chain(chain, pivot)
@@ -262,7 +262,7 @@ class TestSeparatedClusterGap:
 class TestImportanceEstimate:
     def test_k1_matches_quadrature(self, tiny_two_group_data_module, fixed_prior_module):
         chain = run_gibbs(tiny_two_group_data_module, fixed_prior_module, 1,
-                          GibbsConfig(iterations=3_000, burn_in=1_000, seed=5),
+                          GibbsConfig(iterations=3_000, burn_in=1_000),
                           rng=RngStream(50).substream("gibbs"))
         pivot = select_pivot(chain, tiny_two_group_data_module, fixed_prior_module)
         rel = relabel_chain(chain, pivot)
@@ -286,7 +286,7 @@ class TestImportanceEstimate:
 
     def test_k3_matches_enumeration(self, tiny3_data, fixed_prior_module):
         chain = run_gibbs(tiny3_data, fixed_prior_module, 3,
-                          GibbsConfig(iterations=4_000, burn_in=1_000, seed=6),
+                          GibbsConfig(iterations=4_000, burn_in=1_000),
                           rng=RngStream(60).substream("gibbs"))
         pivot = select_pivot(chain, tiny3_data, fixed_prior_module)
         rel = relabel_chain(chain, pivot)
@@ -425,7 +425,7 @@ class TestCalibration:
 class TestChib:
     def test_k1_matches_quadrature(self, tiny_two_group_data_module, fixed_prior_module):
         chain = run_gibbs(tiny_two_group_data_module, fixed_prior_module, 1,
-                          GibbsConfig(iterations=4_000, burn_in=1_000, seed=8),
+                          GibbsConfig(iterations=4_000, burn_in=1_000),
                           rng=RngStream(80).substream("gibbs"))
         pivot = select_pivot(chain, tiny_two_group_data_module, fixed_prior_module)
         for mode in ("plain", "k_fact", "permutation_averaged"):
@@ -494,7 +494,7 @@ class TestBridge:
     def test_k1_matches_quadrature_and_stabilizes(self, tiny_two_group_data_module,
                                                   fixed_prior_module):
         chain = run_gibbs(tiny_two_group_data_module, fixed_prior_module, 1,
-                          GibbsConfig(iterations=4_000, burn_in=1_000, seed=9),
+                          GibbsConfig(iterations=4_000, burn_in=1_000),
                           rng=RngStream(90).substream("gibbs"))
         prop = build_permuted_mixture(chain, tiny_two_group_data_module,
                                       fixed_prior_module, J1=300, rng=RngStream(32))

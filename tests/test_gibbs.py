@@ -54,9 +54,9 @@ class TestConfig:
 
 class TestRunGibbs:
     def test_bit_identical_reproducibility(self, small_normal_data, fixed_prior):
-        cfg = GibbsConfig(iterations=300, burn_in=100, seed=5)
-        a = run_gibbs(small_normal_data, fixed_prior, 2, cfg)
-        b = run_gibbs(small_normal_data, fixed_prior, 2, cfg)
+        cfg = GibbsConfig(iterations=300, burn_in=100)
+        a = run_gibbs(small_normal_data, fixed_prior, 2, cfg, rng=5)
+        b = run_gibbs(small_normal_data, fixed_prior, 2, cfg, rng=5)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.variances, b.variances)
@@ -65,21 +65,21 @@ class TestRunGibbs:
     def test_draw_invariants(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 3,
-            GibbsConfig(iterations=400, burn_in=100, seed=1),
+            GibbsConfig(iterations=400, burn_in=100), rng=1,
         )
         np.testing.assert_allclose(chain.weights.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(chain.variances > 0)
         assert np.all((chain.allocations >= 0) & (chain.allocations < 3))
 
     def test_thinning_stride(self, small_normal_data, fixed_prior):
-        cfg = GibbsConfig(iterations=400, burn_in=100, thinning=3, seed=2)
-        chain = run_gibbs(small_normal_data, fixed_prior, 2, cfg)
+        cfg = GibbsConfig(iterations=400, burn_in=100, thinning=3)
+        chain = run_gibbs(small_normal_data, fixed_prior, 2, cfg, rng=2)
         assert len(chain) == cfg.kept == 100
 
     def test_k1_moments_match_quadrature(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 1,
-            GibbsConfig(iterations=6_000, burn_in=1_000, seed=3),
+            GibbsConfig(iterations=6_000, burn_in=1_000), rng=3,
         )
         oracle = posterior_moments_k1(small_normal_data, fixed_prior)
         mu_draws = chain.means[:, 0]
@@ -93,7 +93,7 @@ class TestRunGibbs:
         k = 2
         chain = permute_chain(run_gibbs(
             small_normal_data, fixed_prior, k,
-            GibbsConfig(iterations=4_000, burn_in=500, seed=4),
+            GibbsConfig(iterations=4_000, burn_in=500), rng=4,
         ), RngStream(4))
         # forced symmetry: each label holds the smaller mean half the time
         frac = float(np.mean(np.argmin(chain.means, axis=1) == 0))
@@ -104,7 +104,7 @@ class TestRunGibbs:
     def test_hierarchical_chain_carries_beta(self, small_normal_data):
         prior = HierarchicalPrior.from_data(small_normal_data)
         chain = run_gibbs(
-            small_normal_data, prior, 2, GibbsConfig(iterations=300, burn_in=50, seed=6)
+            small_normal_data, prior, 2, GibbsConfig(iterations=300, burn_in=50), rng=6
         )
         assert chain.betas is not None and np.all(chain.betas > 0)
 
@@ -138,7 +138,7 @@ class TestRunGibbs:
 
         chain = run_gibbs(
             tiny_two_group_data, fixed_prior, k,
-            GibbsConfig(iterations=40_000, burn_in=2_000, seed=0),
+            GibbsConfig(iterations=40_000, burn_in=2_000),
             rng=RngStream(123).substream("g"),
         )
         Z = chain.allocations.astype(int)
@@ -214,7 +214,7 @@ class TestPermutationStep:
     @pytest.fixture(scope="class")
     def chain(self, small_normal_data, fixed_prior):
         return run_gibbs(small_normal_data, fixed_prior, 3,
-                         GibbsConfig(iterations=300, burn_in=100, seed=13))
+                         GibbsConfig(iterations=300, burn_in=100), rng=13)
 
     def test_identity_leaves_draw(self, chain):
         same = permute_draws(chain, np.tile(np.arange(chain.k), (len(chain), 1)))
@@ -315,7 +315,7 @@ class TestPermutationStep:
     def test_permute_chain_consistent(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
-            GibbsConfig(iterations=200, burn_in=50, seed=7),
+            GibbsConfig(iterations=200, burn_in=50), rng=7,
         )
         permuted = permute_chain(chain, RngStream(8))
         # per-draw joint posterior is invariant under relabelling
@@ -338,7 +338,7 @@ class TestChainIndexing:
     def chain(self, small_normal_data):
         prior = HierarchicalPrior.from_data(small_normal_data)
         return run_gibbs(small_normal_data, prior, 3,
-                         GibbsConfig(iterations=60, burn_in=40, seed=14))
+                         GibbsConfig(iterations=60, burn_in=40), rng=14)
 
     FIELDS = ("weights", "means", "variances", "allocations", "betas")
 
@@ -372,7 +372,7 @@ class TestChainIndexing:
 
     def test_fixed_prior_chain_keeps_no_betas(self, small_normal_data, fixed_prior):
         chain = run_gibbs(small_normal_data, fixed_prior, 2,
-                          GibbsConfig(iterations=30, burn_in=20, seed=15))
+                          GibbsConfig(iterations=30, burn_in=20), rng=15)
         assert chain[3].betas is None and chain[2:5].betas is None
 
 
@@ -407,7 +407,7 @@ class TestSelectPivot:
     def test_single_draw_chain(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
-            GibbsConfig(iterations=51, burn_in=50, seed=9),
+            GibbsConfig(iterations=51, burn_in=50), rng=9,
         )
         assert len(chain) == 1
         pivot = select_pivot(chain, small_normal_data, fixed_prior)
@@ -418,7 +418,7 @@ class TestSelectPivot:
     def test_argmax_property(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
-            GibbsConfig(iterations=500, burn_in=100, seed=10),
+            GibbsConfig(iterations=500, burn_in=100), rng=10,
         )
         params, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(params, fixed_prior) + log_likelihood(small_normal_data, params)
@@ -429,7 +429,7 @@ class TestSelectPivot:
     def test_pivot_beats_median(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
-            GibbsConfig(iterations=500, burn_in=100, seed=11),
+            GibbsConfig(iterations=500, burn_in=100), rng=11,
         )
         lp = log_posterior_batch(small_normal_data, fixed_prior, chain)
         assert lp.max() >= np.median(lp)
@@ -439,7 +439,7 @@ class TestExport:
     def test_csv_round_trip_columns(self, tmp_path, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
-            GibbsConfig(iterations=120, burn_in=100, seed=12),
+            GibbsConfig(iterations=120, burn_in=100), rng=12,
         )
         path = tmp_path / "chain.csv"
         export_chain_csv(chain, small_normal_data, fixed_prior, path)

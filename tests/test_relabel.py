@@ -129,7 +129,7 @@ class TestRelabelChain:
         )
         prior = FixedPrior(var_shape=2.0, var_scale=15.0)
         chain = permute_chain(run_gibbs(
-            data, prior, 2, GibbsConfig(iterations=4_000, burn_in=500, seed=4),
+            data, prior, 2, GibbsConfig(iterations=4_000, burn_in=500), rng=4,
         ), RngStream(4))
         assert chain.switch_flags.sum() > 100  # permutation moves force switching
         rel = relabel_chain(chain, select_pivot(chain, data, prior))
@@ -178,7 +178,7 @@ class TestReference:
     def test_reference_is_chain_map(self, small_normal_data, fixed_prior):
         chain = run_gibbs(
             small_normal_data, fixed_prior, 2,
-            GibbsConfig(iterations=300, burn_in=100, seed=5),
+            GibbsConfig(iterations=300, burn_in=100), rng=5,
         )
         ref, _ = scalar_draw(select_pivot(chain, small_normal_data, fixed_prior))
         best = log_prior(ref, fixed_prior) + log_likelihood(small_normal_data, ref)
