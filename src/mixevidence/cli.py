@@ -123,6 +123,9 @@ def _cmd_compare(args) -> int:
     for table_name in ("log_evidence", "R"):
         print(f"== {table_name} ==")
         for row in record.summary[table_name]:
+            if not row["count"]:
+                print(f"  {row['method']:<14} no successful replicates")
+                continue
             print(
                 f"  {row['method']:<14} mean={row['mean']:.4f} sd={row['sd']:.4f} "
                 f"median={row['median']:.4f} (n={row['count']})"

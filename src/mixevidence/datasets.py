@@ -107,6 +107,8 @@ def load_dataset(path, name: str = "") -> Dataset:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: not a number: {line!r}"
                 ) from None
+            if not np.isfinite(values[-1]):
+                raise DatasetFormatError(f"{path}:{lineno}: not a finite number: {line!r}")
     if not values:
         raise DatasetFormatError(f"{path}: no numeric values found")
     return Dataset(np.array(values), name=name or path.stem)

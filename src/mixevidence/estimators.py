@@ -349,7 +349,7 @@ def _phi_trace(log_eta: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _build_report(log_h: np.ndarray, tau: float, T: int, k: int) -> ContributionReport:
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be > 0")
     log_eta, eta_bar_raw, order = _rank_contributions(log_h)
     phi = _phi_trace(log_eta, order)

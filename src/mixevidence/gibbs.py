@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import model
 from .model import (
     Dataset,
     ParamsBatch,
@@ -207,14 +208,19 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
 def permute_draws(batch: ParamsBatch, perms) -> ParamsBatch:
     """Relabel state t of a batch by the gather row perms[t]: label i takes
     the values of label perms[t, i].  A chain's allocations follow their
-    components."""
+    components, into an array of their stored dtype, one block of
+    `model.KERNEL_BUDGET` labels at a time: only a block is gathered as
+    intp, never the whole (T, n) array."""
     perms = np.asarray(perms, dtype=np.intp)
     columns = {name: np.take_along_axis(getattr(batch, name), perms, axis=1)
                for name in ("weights", "means", "variances")}
     if isinstance(batch, GibbsChain):
         inverse = np.argsort(perms, axis=1)
-        columns["allocations"] = np.take_along_axis(
-            inverse, batch.allocations.astype(np.intp), axis=1).astype(batch.allocations.dtype)
+        allocs = batch.allocations
+        columns["allocations"] = out = np.empty_like(allocs)
+        edges = model._chunk_edges(len(batch), model.KERNEL_BUDGET // batch.n)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            out[lo:hi] = np.take_along_axis(inverse[lo:hi], allocs[lo:hi].astype(np.intp), 1)
     return replace(batch, **columns)
 
 

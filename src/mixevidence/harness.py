@@ -99,8 +99,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and > 0")
         kept = self.gibbs_config().kept  # checks iterations, burn_in and thinning
         # the numbers of distinct chain draws each estimator subsamples
         subsampled = {"sym_is": {"J": self.J}, "sym_is_trunc": {"J": self.J},

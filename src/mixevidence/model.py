@@ -22,10 +22,11 @@ conditions on: each factor's parameters are gathered per particle and drawn
 with one generator call.
 
 The block density factorises over components: under a label permutation
-sigma, batch component i only meets draw component sigma(i).  The
-evaluation kernel walks the points in chunks sized by an element budget
-(`KERNEL_BUDGET`), so that its buffers stay in cache whatever the number of
-draws, and makes as few passes over them as it can, since each pass costs
+sigma, batch component i only meets draw component sigma(i).  One element
+budget, `KERNEL_BUDGET`, sizes the blocks of every batched loop (states of
+the likelihood, draws of the statistics and the relabelling, points of the
+kernel), so that the kernel's buffers stay in cache whatever the number of
+draws.  The kernel makes as few passes over them as it can: each pass costs
 about half a nanosecond per element and a log three times that.  The
 weight and variance factors with the draw's normalising constant are one
 matrix product per permutation row, [log w | log v | 1/v | 1] against the
@@ -218,27 +219,27 @@ def beta_conditional(prior: HierarchicalPrior, variances):
 # Vectorized machinery: parameter batches and precomputed conditioning sets.
 # ---------------------------------------------------------------------------
 
-# States per block of the batched likelihood; it bounds the size of the
-# temporaries.
-LIKELIHOOD_CHUNK = 512
-
-# Float64 elements in each of the block-density kernel's (pairs, points, J)
-# and (rows, points, J) buffers: per thread, two pair buffers (D, then the
-# pair factor, and t / sqrt(v)) and three row buffers (the row sum and two
-# for the pair slices), besides the small (pairs, points, 3) left operand of
-# the mean factor.  Point chunks are sized by this element count, not by a
-# fixed number of points, because J runs from 1 (plug-in proposal) to the
-# whole chain (Chib): a fixed 256 points made (256, J, k) temporaries of
-# 33 MB at J=4000.  2**16 elements (512 KB) keeps a thread's two pair
-# buffers within a 2 MB per-core L2 cache.  A chunk holds at least two
-# points (see `_chunk_edges`), so the pair buffers outgrow the budget where
-# 2 * J * pairs does; the rows of a chunk go in blocks that fit the budget,
-# one row at least, so the row buffers grow with J alone.  The right
-# operands, (P, 3k + 1, J) and (pairs, 3, J), are built once per call and
-# are not bounded by the budget.  Chunks and blocks are sized as if J were
-# at least 8: the thread that runs a chunk allocates its (pairs, points)
-# gathers and the (rows, points) arrays of the reduce, and at J=1 these
-# would be as large as the buffers.
+# The one block size of every batched loop, in float64 elements: the states
+# of `log_likelihood_batch` go in blocks of KERNEL_BUDGET // (k n) and the
+# draws of `ConditioningSet.from_draws` and `gibbs.permute_draws` in blocks of
+# KERNEL_BUDGET // n, so that no temporary grows with the batch or the chain;
+# no value depends on the block it falls in.  In the block-density kernel it
+# is the elements in each (pairs, points, J) and (rows, points, J) buffer: per
+# thread, two pair buffers (D, then the pair factor, and t / sqrt(v)) and
+# three row buffers (the row sum and two for the pair slices), besides the
+# small (pairs, points, 3) left operand of the mean factor.  Point chunks are
+# sized by this element count, not by a fixed number of points, because J
+# runs from 1 (plug-in proposal) to the whole chain (Chib): a fixed 256
+# points made (256, J, k) temporaries of 33 MB at J=4000.  2**16 elements
+# (512 KB) keeps a thread's two pair buffers within a 2 MB per-core L2 cache.
+# A chunk holds at least two points (see `_chunk_edges`), so the pair buffers
+# outgrow the budget where 2 * J * pairs does; the rows of a chunk go in
+# blocks that fit the budget, one row at least, so the row buffers grow with
+# J alone.  The right operands, (P, 3k + 1, J) and (pairs, 3, J), are built
+# once per call and are not bounded by the budget.  Chunks and blocks are
+# sized as if J were at least 8: the thread that runs a chunk allocates its
+# (pairs, points) gathers and the (rows, points) arrays of the reduce, and at
+# J=1 these would be as large as the buffers.
 KERNEL_BUDGET = 1 << 16
 
 # Threads that share the point chunks of one block-density call, the calling
@@ -246,12 +247,6 @@ KERNEL_BUDGET = 1 << 16
 # divides them between its replicate processes.
 KERNEL_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
-
-# Draws per block of the offset-bincount in `ConditioningSet.from_draws`;
-# with n observations its temporaries hold about 2 n KB each.  Blocks of 256
-# build as fast as blocks of 1024 (10k draws of n=60: 12 ms, against 73 ms
-# for one bincount per draw) with a quarter of the extra peak memory.
-STATS_CHUNK = 256
 
 
 @dataclass
@@ -298,13 +293,13 @@ class ParamsBatch:
 
 
 def _chunk_edges(size: int, step: int) -> list[int]:
-    """Edges of the point chunks of the block-density kernel.
+    """Edges of the blocks of `step` items, out of `size`, of a batched loop.
 
-    A chunk holds at least two points and a lone tail point joins the chunk
-    before it, so every matrix product has two or more rows: numpy sends a
-    one-row product to BLAS's matrix-vector routine, which rounds
-    differently from the matrix-matrix one, and a point's density would
-    then depend on how the batch was chunked.
+    A block holds at least two items and a lone tail item joins the block
+    before it, so every matrix product of the block-density kernel has two
+    or more rows: numpy sends a one-row product to BLAS's matrix-vector
+    routine, which rounds differently from the matrix-matrix one, and a
+    point's density would then depend on how the batch was chunked.
     """
     edges = list(range(0, size, max(2, step))) + [size]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
@@ -343,13 +338,13 @@ def _run_in_threads(work, buffers: list) -> None:
 
 def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
     """Vectorized log p(x | theta) = sum_j log sum_i w_i N(x_j; mu_i, var_i) over
-    a batch, LIKELIHOOD_CHUNK states at a time to bound memory."""
+    a batch, in blocks of KERNEL_BUDGET (state, component, point) terms."""
     x = data.observations
     out = np.empty(batch.size)
     with np.errstate(divide="ignore"):
         logw = np.log(batch.weights)
-    for lo in range(0, batch.size, LIKELIHOOD_CHUNK):
-        hi = min(lo + LIKELIHOOD_CHUNK, batch.size)
+    edges = _chunk_edges(batch.size, KERNEL_BUDGET // (batch.k * x.size))
+    for lo, hi in zip(edges[:-1], edges[1:]):
         comp = logw[lo:hi, :, None] + normal_logpdf(
             x[None, None, :],
             batch.means[lo:hi, :, None],
@@ -417,8 +412,7 @@ class ConditioningSet:
                    allocs: np.ndarray, betas: np.ndarray | None = None) -> "ConditioningSet":
         """Build from stored means (J, k), allocations (J, n) and optional betas (J,)."""
         means = np.atleast_2d(np.asarray(means, float))
-        # bincount casts narrower labels on every call; cast once
-        allocs = np.atleast_2d(np.asarray(allocs, dtype=np.intp))
+        allocs = np.atleast_2d(np.asarray(allocs))
         J, k = means.shape
         x = data.observations
         if allocs.shape != (J, x.size):
@@ -430,11 +424,11 @@ class ConditioningSet:
         counts = np.empty((J, k))
         sums = np.empty((J, k))
         sums_sq = np.empty((J, k))
-        for lo in range(0, J, STATS_CHUNK):
-            hi = min(lo + STATS_CHUNK, J)
+        edges = _chunk_edges(J, KERNEL_BUDGET // x.size)
+        for lo, hi in zip(edges[:-1], edges[1:]):
             # one bincount per block: draw lo + r owns bins k r .. k r + k - 1, and
             # each bin adds its observations in order, as a per-draw bincount does
-            bins = (allocs[lo:hi] + k * np.arange(hi - lo)[:, None]).ravel()
+            bins = (allocs[lo:hi].astype(np.intp) + k * np.arange(hi - lo)[:, None]).ravel()
             size = (hi - lo) * k
             xs = np.tile(x, hi - lo)
             counts[lo:hi] = np.bincount(bins, minlength=size).reshape(-1, k)

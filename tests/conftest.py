@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,14 @@ def assert_same_bits(got, expected):
     nan = np.isnan(expected)
     np.testing.assert_array_equal(np.isnan(got), nan)
     np.testing.assert_array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def traced_peak(call):
+    """`call()` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -138,3 +138,14 @@ def test_estimate_reports_failure_nonzero_exit(tmp_path):
         "--seed", "6", "--n", "20",
     ])
     assert code == 1
+
+
+def test_compare_reports_an_estimator_that_fails_every_replicate(capsys):
+    """chib_perm refuses k > 8, so it has no successful replicate: its summary
+    lines say so, the failure count is printed and the run exits 0."""
+    code = main(["compare", "--dataset", "d1", "--k", "9", "--estimators", "chib_perm",
+                 "--replicates", "1", "--iterations", "300", "--burn-in", "100"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count("chib_perm      no successful replicates") == 2  # log_evidence and R
+    assert "1 estimator failures" in out

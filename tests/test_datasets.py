@@ -72,6 +72,13 @@ class TestLoad:
         with pytest.raises(DatasetFormatError, match="bad.txt:2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1.0\n2.0\n{value}\n")
+        with pytest.raises(DatasetFormatError, match="bad.txt:3"):
+            load_dataset(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")

@@ -408,8 +408,9 @@ class TestCalibration:
         rel = relabel_chain(tiny_chain, pivot)
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=10, rng=RngStream(28))
-        with pytest.raises(ValueError):
-            importance_estimate(prop, 50, RngStream(29), truncated=True, M=50, tau=0.0)
+        for tau in (0.0, float("nan")):  # phi < nan is never true: NaN kept all k! clusters
+            with pytest.raises(ValueError, match="tau"):
+                importance_estimate(prop, 50, RngStream(29), truncated=True, M=50, tau=tau)
 
     def test_huge_tau_keeps_one_cluster(self, tiny_two_group_data_module,
                                         fixed_prior_module, tiny_chain):

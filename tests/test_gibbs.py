@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from mixevidence import model
 from mixevidence.gibbs import (
     GibbsChain,
     GibbsConfig,
@@ -31,6 +32,7 @@ from mixevidence.numerics import RngStream, permutation_matrix, permutation_rows
 from mixevidence.oracle import log_marginal_group, posterior_moments_k1
 from mixevidence.relabel import relabel_chain
 
+from conftest import traced_peak
 from reference import (
     MixtureParams,
     allocation_log_probs,
@@ -238,6 +240,30 @@ class TestPermutationStep:
         np.testing.assert_array_equal(
             np.take_along_axis(moved.means, moved.allocations.astype(np.intp), 1),
             np.take_along_axis(chain.means, chain.allocations.astype(np.intp), 1))
+
+    def test_blocks_do_not_change_the_relabelling(self, chain, monkeypatch):
+        rows = permutation_rows(np.arange(len(chain)) % math.factorial(chain.k), chain.k)
+        whole = permute_draws(chain, rows)  # one block of all 200 draws
+        monkeypatch.setattr(model, "KERNEL_BUDGET", 3 * chain.n)  # 3-draw blocks
+        blocked = permute_draws(chain, rows)
+        assert blocked.allocations.dtype == whole.allocations.dtype == chain.allocations.dtype
+        np.testing.assert_array_equal(blocked.allocations, whole.allocations)
+
+    @pytest.mark.parametrize("relabel", [lambda chain: permute_chain(chain, RngStream(36)),
+                                         lambda chain: relabel_chain(chain, chain[0])],
+                             ids=["permute_chain", "relabel_chain"])
+    def test_relabelling_memory_is_bounded(self, relabel):
+        """A galaxy-sized chain (T = 10**4, n = 82, int16 labels) is relabelled in
+        under 3 MiB beyond the chain returned: no (T, n) intp copy is made."""
+        rng = np.random.default_rng(35)
+        T, k, n = 10_000, 4, 82
+        chain = GibbsChain(weights=rng.dirichlet(np.ones(k), size=T),
+                           means=rng.normal(size=(T, k)), variances=rng.gamma(2.0, size=(T, k)),
+                           allocations=rng.integers(k, size=(T, n)).astype(np.int16))
+        out, peak = traced_peak(lambda: relabel(chain))
+        kept = sum(getattr(out, name).nbytes
+                   for name in ("weights", "means", "variances", "allocations"))
+        assert peak - kept < 3 * 2**20
 
     # CRC32 of the relabelled arrays of a fixed synthetic chain: the stream
     # permute_chain draws and the row each draw maps to are frozen.

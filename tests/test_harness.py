@@ -55,6 +55,12 @@ class TestConfig:
             ExperimentConfig(T=0)
         with pytest.raises(ValueError):
             ExperimentConfig(tau=0.0)
+        # NaN would keep every cluster, since phi < nan is never true
+        for tau in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tau"):
+                ExperimentConfig(tau=tau)
+        with pytest.raises(ValueError, match="seed"):  # SeedSequence refuses it mid-run
+            ExperimentConfig(seed=-1)
         for field_name in ("J1", "n"):
             with pytest.raises(ValueError, match=field_name):
                 ExperimentConfig(**{field_name: 0})

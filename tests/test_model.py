@@ -1,6 +1,5 @@
 import math
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +29,7 @@ from mixevidence.numerics import (
 )
 
 import reference
-from conftest import assert_same_bits, random_params
+from conftest import assert_same_bits, random_params, traced_peak
 from reference import (
     Allocation,
     MixtureParams,
@@ -48,6 +47,10 @@ from reference import (
     permute_params,
     sample_block,
 )
+
+
+# the draws of a galaxy chain at benchmark size (k = 4, n = 82)
+GALAXY_T = 10_000
 
 
 class TestTypes:
@@ -137,6 +140,24 @@ class TestLikelihood:
         got = log_likelihood_batch(small_normal_data, batch)
         for b, p in enumerate(params):
             assert got[b] == pytest.approx(log_likelihood(small_normal_data, p))
+
+    def test_batch_does_not_depend_on_blocks(self, small_normal_data, monkeypatch):
+        rng = np.random.default_rng(31)
+        batch = from_params([random_params(3, rng) for _ in range(7)])
+        whole = log_likelihood_batch(small_normal_data, batch)
+        monkeypatch.setattr(model, "KERNEL_BUDGET", 2 * 3 * small_normal_data.n)  # 2, 2, 3 states
+        assert_same_bits(log_likelihood_batch(small_normal_data, batch), whole)
+
+    def test_batch_memory_is_bounded(self):
+        """10**4 galaxy states take under 3 MiB beyond their (B,) result: the
+        blocks hold KERNEL_BUDGET (state, component, point) terms."""
+        data, k = builtin_dataset("galaxy"), 4
+        rng = np.random.default_rng(32)
+        batch = ParamsBatch(rng.dirichlet(np.ones(k), GALAXY_T),
+                            rng.normal(20.0, 5.0, (GALAXY_T, k)),
+                            rng.gamma(3.0, 2.0, (GALAXY_T, k)) + 0.2)
+        out, peak = traced_peak(lambda: log_likelihood_batch(data, batch))
+        assert peak - out.nbytes < 3 * 2**20
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_subnormal_variance_takes_the_limit(self, small_normal_data, hier_prior,
@@ -540,12 +561,13 @@ class TestConditioningSetEngine:
     def test_from_draws_matches_per_draw_bincount(self, small_normal_data, fixed_prior,
                                                   monkeypatch):
         rng = np.random.default_rng(17)
-        k, J = 3, 7
+        k, J = 3, 8
         x = small_normal_data.observations
         means = rng.normal(0.0, 3.0, (J, k))
         allocs = rng.integers(0, k, (J, small_normal_data.n))
         allocs[2] = 1  # a draw with two empty components
-        monkeypatch.setattr(model, "STATS_CHUNK", 3)  # J=7 spans three blocks
+        # J=8 spans three blocks of 3, 3 and 2 draws
+        monkeypatch.setattr(model, "KERNEL_BUDGET", 3 * small_normal_data.n)
         cond = ConditioningSet.from_draws(small_normal_data, fixed_prior, means, allocs)
         counts = np.array([np.bincount(z, minlength=k) for z in allocs], dtype=float)
         sums = np.array([np.bincount(z, weights=x, minlength=k) for z in allocs])
@@ -554,6 +576,34 @@ class TestConditioningSetEngine:
         np.testing.assert_array_equal(cond.counts, counts)
         np.testing.assert_array_equal(cond.sums, sums)
         np.testing.assert_array_equal(cond.ig_scale, scale)
+
+    def test_from_draws_takes_labels_of_any_integer_dtype(self, small_normal_data,
+                                                           fixed_prior):
+        rng = np.random.default_rng(33)
+        k, J = 3, 5
+        means = rng.normal(0.0, 3.0, (J, k))
+        allocs = rng.integers(0, k, (J, small_normal_data.n))
+        expected = ConditioningSet.from_draws(small_normal_data, fixed_prior, means,
+                                              allocs.astype(np.intp))
+        for dtype in (np.int8, np.int16, np.int64):
+            cond = ConditioningSet.from_draws(small_normal_data, fixed_prior, means,
+                                              allocs.astype(dtype))
+            for name in ("counts", "sums", "ig_shape", "ig_scale", "ig_const"):
+                assert_same_bits(getattr(cond, name), getattr(expected, name))
+
+    def test_from_draws_memory_is_bounded(self, hier_prior):
+        """A galaxy-sized chain's statistics take under 3 MiB beyond the set
+        they return: its int16 labels are cast to intp a block at a time."""
+        data, k = builtin_dataset("galaxy"), 4
+        rng = np.random.default_rng(34)
+        means = rng.normal(20.0, 5.0, (GALAXY_T, k))
+        allocs = rng.integers(0, k, (GALAXY_T, data.n)).astype(np.int16)
+        betas = rng.gamma(2.0, 1.0, GALAXY_T) + 0.5
+        cond, peak = traced_peak(lambda: ConditioningSet.from_draws(data, hier_prior, means,
+                                                                     allocs, betas))
+        kept = sum(getattr(cond, name).nbytes
+                   for name in ("counts", "sums", "ig_shape", "ig_scale", "ig_const"))
+        assert peak - kept < 3 * 2**20
 
     def test_from_draws_rejects_out_of_range_labels(self, small_normal_data, fixed_prior):
         allocs = np.zeros((2, small_normal_data.n), dtype=int)
@@ -619,12 +669,7 @@ class TestConditioningSetEngine:
         else:
             batch = ParamsBatch(rng.dirichlet(np.ones(k), B), rng.normal(0.0, 3.0, (B, k)),
                                 rng.gamma(3.0, 1.0, (B, k)) + 0.2)
-        tracemalloc.start()
-        try:
-            getattr(cond, method)(batch, permutation_matrix(k)[:P])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: getattr(cond, method)(batch, permutation_matrix(k)[:P]))
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("hierarchical", [False, True])
