@@ -11,7 +11,9 @@ overridden by explicit flags.  Each config flag is declared once, in the
 flag group of the settings it sets, with no default of its own, so an unset
 flag takes the config file's value or the `ExperimentConfig` default.  A
 subcommand takes only the groups it uses, and the harness derives its data
-and chain from the config and seed as `compare` does.
+and chain from the config and seed as `compare` does.  A config, dataset,
+prior or replicate that cannot be used is reported in one line, with exit
+status 2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .harness import (
     run_experiment,
     run_replicate,
 )
+from .model import Dataset, PriorSpec
 
 
 def _add_data_flags(p: argparse.ArgumentParser, out_help: str, out_required=False) -> None:
@@ -76,9 +79,24 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig
     return ExperimentConfig.from_dict(payload)
 
 
+class _InputError(Exception):
+    """A config, dataset, prior or replicate the command cannot use."""
+
+
+def _inputs(args: argparse.Namespace,
+            **overrides) -> tuple[ExperimentConfig, Dataset, PriorSpec]:
+    """The command's config, data and prior."""
+    try:
+        config = _config_from_args(args, **overrides)
+        data = resolve_dataset(config)
+        prior = parse_prior(config.prior, data)
+    except (ValueError, OSError) as exc:
+        raise _InputError(str(exc)) from exc
+    return config, data, prior
+
+
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args, estimators=())  # the data, no estimates
-    data = resolve_dataset(config)
+    config, data, _ = _inputs(args, estimators=())  # the data, no estimates
     lines = [f"# dataset {data.name!r} (n={data.n}, seed={config.seed})"]
     lines += [f"{v:.17g}" for v in data.observations]
     text = "\n".join(lines) + "\n"
@@ -91,9 +109,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    config = _config_from_args(args, estimators=())  # a chain, no estimates
-    data = resolve_dataset(config)
-    prior = parse_prior(config.prior, data)
+    config, data, prior = _inputs(args, estimators=())  # a chain, no estimates
     _, chain, permuted = replicate_chains(config, data, prior, replicate=0)
     chain = permuted if args.permute else chain
     export_chain_csv(chain, data, prior, args.out)
@@ -104,9 +120,10 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = _config_from_args(args, estimators=(args.estimator,), replicates=1, out=None)
-    data = resolve_dataset(config)
-    prior = parse_prior(config.prior, data)
+    config, data, prior = _inputs(args, estimators=(args.estimator,), replicates=1,
+                                  out=None)
+    if args.replicate < 0:
+        raise _InputError(f"replicate must be >= 0, got {args.replicate}")
     rows = run_replicate(config, data, prior, replicate=args.replicate)
     payload = json.dumps(rows[0], indent=1)
     if args.out:
@@ -118,7 +135,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _config_from_args(args)
+    config, _, _ = _inputs(args)  # checks the dataset and prior before the run
     record = run_experiment(config)
     for table_name in ("log_evidence", "R"):
         print(f"== {table_name} ==")
@@ -180,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"mixevidence: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .model import (
     PriorSpec,
     log_posterior_batch,
 )
-from .numerics import as_generator, log_sum_exp, permutation_matrix
+from .numerics import as_generator, log_sum_exp, log_sum_exp_into, permutation_matrix
 
 __all__ = [
     "DEFAULT_TAU",
@@ -98,8 +98,10 @@ class ContributionReport:
     permutation cluster; `ordering` maps ranks to rows of the lexicographic
     permutation matrix.  `phi_trace[n-1]` is the mean absolute difference
     between the n-term truncation and the full proposal density, normalized
-    per point by the full density (so one threshold works across datasets);
-    `phi_hat` is its value at the selected truncation size.
+    per point by the full density (so one threshold works across datasets).
+    Summing over points and over clusters commute, so it is the ranked tail
+    phi_n = sum_{r > n} eta_bar_(r): monotone, and exactly 0 at n = k!.
+    `A_size` is the first n with phi_n < tau and `phi_hat` is phi there.
     """
 
     eta_bar: np.ndarray
@@ -256,16 +258,16 @@ def build_permuted_mixture(chain: GibbsChain, data: Dataset, prior: PriorSpec,
 # ---------------------------------------------------------------------------
 
 def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
-         pivot: GibbsChain, mode: str = "plain") -> EvidenceEstimate:
+         pivot: GibbsChain, mode: str) -> EvidenceEstimate:
     """Evidence via log pi(pivot) + log p(x|pivot) - log posterior ordinate.
 
     `pivot` is a one-draw chain.  The posterior ordinate is the pooled block
-    density of the pivot over the whole chain; `mode` selects the plain
-    pooled estimate, the plain estimate times k!, or the average over all k!
-    relabellings of the pivot (which needs no relabelling of the chain
-    itself).
+    density of the pivot over the whole chain; `mode` selects that ordinate
+    with the estimate times k! (`k_fact`), or the ordinate averaged over all
+    k! relabellings of the pivot (`permutation_averaged`, which needs no
+    relabelling of the chain itself).
     """
-    if mode not in ("plain", "k_fact", "permutation_averaged"):
+    if mode not in ("k_fact", "permutation_averaged"):
         raise ValueError(f"unknown chib mode: {mode}")
     started = time.perf_counter()
     if len(pivot) != 1:
@@ -298,10 +300,8 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
     r = np.exp(per_draw - shift)
     se = chain_mean_stderr(r) / float(np.mean(r)) if T > 1 else 0.0
 
-    method = {"plain": "chib_plain", "k_fact": "chib_kfact",
-              "permutation_averaged": "chib_perm"}[mode]
     return EvidenceEstimate(
-        method=method,
+        method="chib_kfact" if mode == "k_fact" else "chib_perm",
         k=k,
         log_evidence=float(log_ev),
         log_weights=per_draw,
@@ -318,46 +318,29 @@ def chib(data: Dataset, prior: PriorSpec, chain: GibbsChain,
 # Importance sampling with pooled symmetrized proposals
 # ---------------------------------------------------------------------------
 
-def _rank_contributions(log_h: np.ndarray):
-    """Per-point normalized contributions, their means and the ranking."""
-    log_norm = log_sum_exp(log_h, axis=1)
-    log_eta = log_h - log_norm[:, None]
-    M = log_h.shape[0]
-    log_eta_mean = log_sum_exp(log_eta, axis=0) - math.log(M)
-    eta_bar = np.exp(log_eta_mean)
-    order = np.argsort(-eta_bar, kind="stable")
-    return log_eta, eta_bar, order
-
-
-def _phi_trace(log_eta: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Relative mean absolute truncation error for every truncation size.
-
-    phi_n = (1/M) sum_l [q(theta_l) - q_n(theta_l)] / q(theta_l), i.e. the
-    mean left-out mass fraction, which is exactly the mean of the ranked
-    contribution tail.  Monotone non-increasing, exactly 0 at n = k!.
-    """
-    M, P = log_eta.shape
-    ranked = log_eta[:, order]
-    out = np.full(P, -np.inf)
-    if P > 1:
-        suffix = ranked[:, ::-1].copy()
-        np.logaddexp.accumulate(suffix, axis=1, out=suffix)
-        # suffix[:, ::-1][:, n] = LSE of ranked columns n..P-1
-        tails = suffix[:, ::-1]
-        out[: P - 1] = log_sum_exp(tails[:, 1:], axis=0) - math.log(M)
-    return np.exp(out)
-
-
 def _build_report(log_h: np.ndarray, tau: float, T: int, k: int) -> ContributionReport:
+    """Rank the clusters of M calibration points by mean contribution, cut at tau."""
     if not tau > 0:
         raise ValueError("tau must be > 0")
-    log_eta, eta_bar_raw, order = _rank_contributions(log_h)
-    phi = _phi_trace(log_eta, order)
-    below = np.nonzero(phi < tau)[0]
-    A_size = int(below[0]) + 1 if below.size else log_h.shape[1]
-    M = log_h.shape[0]
+    M, P = log_h.shape
+    log_eta = np.array(log_h)                      # the one (M, P) buffer
+    log_norm = log_sum_exp_into(log_eta, axis=1)
+    dead = int(np.count_nonzero(log_norm == -np.inf))
+    if dead:
+        raise EstimationFailureError(
+            f"{dead} of {M} calibration points have zero proposal density in every cluster"
+        )
+    np.subtract(log_h, log_norm[:, None], out=log_eta)  # per-point log contributions
+    log_eta_bar = log_sum_exp_into(log_eta, axis=0) - math.log(M)
+    eta_bar = np.exp(log_eta_bar)
+    order = np.argsort(-eta_bar, kind="stable")
+    # phi_n = sum_{r > n} eta_bar_(r): log suffix sums of the ranked log eta_bar
+    log_tail = np.logaddexp.accumulate(log_eta_bar[order][::-1])[::-1]
+    phi = np.zeros(P)
+    phi[:-1] = np.exp(log_tail[1:])
+    A_size = int(np.argmax(phi < tau)) + 1         # phi is 0 < tau at n = k!
     return ContributionReport(
-        eta_bar=eta_bar_raw[order],
+        eta_bar=eta_bar[order],
         ordering=order,
         A_size=A_size,
         phi_hat=float(phi[A_size - 1]),

@@ -130,6 +130,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         payload = dict(payload)
         if "estimators" in payload:
             payload["estimators"] = tuple(payload["estimators"])
@@ -167,6 +170,8 @@ def replicate_chains(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
     """The replicate's stream, its Gibbs chain and the chain's randomly
     relabelled copy; the replicate's estimators draw from substreams of the
     stream."""
+    if replicate < 0:
+        raise ValueError(f"replicate must be >= 0, got {replicate}")
     stream = RngStream(config.seed).substream("replicate", replicate)
     chain = run_gibbs(data, prior, config.k, config.gibbs_config(),
                       rng=stream.substream("gibbs"))

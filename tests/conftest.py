@@ -2,11 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mixevidence.model import Dataset, FixedPrior, HierarchicalPrior
 from mixevidence.numerics import RngStream
 
 from reference import MixtureParams
+
+# Property tests draw the same examples on every run, with no example
+# database carried between runs and no per-example deadline on a noisy host.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

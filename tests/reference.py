@@ -12,9 +12,10 @@ log-densities, the scalar likelihood and prior, the sufficient
 statistics of an allocation, the full conditionals, and the block density
 pi(theta | theta', z', x) with an exact sampler, and the relabelling of a
 chain towards a reference by exhaustive search over S_k.  It also keeps
-`log_sum_exp_into` as it was before its exponent floor, and the grouped
-loop that `ConditioningSet.sample` replaced.  The tests check the batched
-code against it.
+`log_sum_exp_into` as it was before its exponent floor, the grouped
+loop that `ConditioningSet.sample` replaced, and the truncation report's
+phi trace summed point by point.  The tests check the batched code against
+it.
 """
 
 from __future__ import annotations
@@ -523,3 +524,27 @@ def sample_grouped(cond: ConditioningSet, draw_indices, rng) -> ParamsBatch:
             shape, rate = beta_conditional(prior, v)
             betas[rows] = gen.gamma(shape, 1.0 / rate)
     return ParamsBatch(weights, means, variances, betas)
+
+
+# ---------------------------------------------------------------------------
+# The truncation report computed point by point.
+# ---------------------------------------------------------------------------
+
+def truncation_per_point(log_h: np.ndarray, tau: float):
+    """(ranked eta_bar, ordering, phi trace, A_size) of `_build_report` on an
+    (M, P) `log_h`, with phi_n the mean over points of each point's own
+    left-out share: (1/M) sum_l sum_{r > n} eta_l,(r), from per-point suffix
+    sums of the ranked contributions."""
+    M, P = log_h.shape
+    log_eta = log_h - log_sum_exp(log_h, axis=1)[:, None]
+    eta_bar = np.exp(log_sum_exp(log_eta, axis=0) - math.log(M))
+    order = np.argsort(-eta_bar, kind="stable")
+    # suffix[:, n] = log sum of the ranked contributions n..P-1
+    suffix = np.logaddexp.accumulate(log_eta[:, order][:, ::-1], axis=1)[:, ::-1]
+    log_phi = np.full(P, -np.inf)
+    if P > 1:
+        log_phi[:-1] = log_sum_exp(suffix[:, 1:], axis=0) - math.log(M)
+    phi = np.exp(log_phi)
+    below = np.nonzero(phi < tau)[0]
+    A_size = int(below[0]) + 1 if below.size else P
+    return eta_bar[order], order, phi, A_size

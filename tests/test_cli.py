@@ -149,3 +149,22 @@ def test_compare_reports_an_estimator_that_fails_every_replicate(capsys):
     out = capsys.readouterr().out
     assert out.count("chib_perm      no successful replicates") == 2  # log_evidence and R
     assert "1 estimator failures" in out
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: ["simulate", "--config", str(tmp / "bad.json")], "['thining']"),
+    (lambda tmp: ["simulate", "--dataset", str(tmp / "missing.txt")], "missing.txt"),
+    (lambda tmp: ["estimate", "--estimator", "sym_is", "--k", "0"], "k must be >= 1"),
+    (lambda tmp: ["estimate", "--estimator", "chib_kfact", "--dataset", "d1",
+                  "--iterations", "300", "--burn-in", "100", "--replicate", "-1"],
+     "replicate must be >= 0"),
+], ids=["unknown-config-key", "missing-dataset", "k-zero", "negative-replicate"])
+def test_bad_input_is_a_one_line_error(tmp_path, capsys, make_argv, message):
+    """A config, dataset or replicate the command cannot use exits 2 with one
+    `mixevidence: error:` line and no traceback or row."""
+    (tmp_path / "bad.json").write_text(json.dumps({"thining": 2}))
+    assert main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mixevidence: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1

@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mixevidence.estimators import (
     DEFAULT_TAU,
     EstimationFailureError,
+    _build_report,
     bridge_sampling,
     build_dual_proposal,
     build_permuted_mixture,
@@ -27,17 +31,20 @@ from mixevidence.gibbs import (
     select_pivot,
 )
 from mixevidence.model import (
+    ConditioningSet,
     Dataset,
     FixedPrior,
     HierarchicalPrior,
     log_likelihood_batch,
+    log_posterior_batch,
     log_prior_batch,
 )
 from mixevidence.numerics import RngStream, log_sum_exp, permutation_matrix
 from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
-from conftest import random_params
+from conftest import random_params, traced_peak
+from reference import truncation_per_point
 from reference import from_params, log_block_density, permute_params, scalar_draw
 
 # Frozen values from the enumeration/quadrature oracles (see test_oracle.py
@@ -380,13 +387,52 @@ class TestCalibration:
         prop = build_dual_proposal(rel, tiny_two_group_data_module, fixed_prior_module,
                                    J=30, rng=RngStream(25))
         batch = prop.sample(300, RngStream(26))
-        log_h = prop.log_h(batch)
-        from mixevidence.estimators import _rank_contributions
+        report = _build_report(prop.log_h(batch), DEFAULT_TAU, 300, 2)
+        assert report.eta_bar.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(np.diff(report.eta_bar) <= 0.0)
+        # each point's contributions sum to 1, so what the top n leave out is 1 - their sum
+        np.testing.assert_allclose(report.phi_trace, 1.0 - np.cumsum(report.eta_bar),
+                                   rtol=0, atol=1e-9)
 
-        log_eta, eta_bar, order = _rank_contributions(log_h)
-        np.testing.assert_allclose(np.exp(log_eta).sum(axis=1), 1.0, atol=1e-9)
-        assert eta_bar.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(np.diff(eta_bar[order]) <= 1e-15)
+    @given(data=st.data())
+    def test_report_matches_per_point_oracle(self, data):
+        """phi is the ranked tail of eta_bar, as summed point by point, with tied
+        clusters and clusters 800 nats down whose eta_bar underflow to 0."""
+        P = data.draw(st.sampled_from([1, 2, 6, 24]), label="P")
+        M = data.draw(st.integers(1, 12), label="M")
+        log_h = data.draw(arrays(float, (M, P), elements=st.floats(-20.0, 20.0)), label="log_h")
+        for dst, src in data.draw(st.lists(st.tuples(st.integers(0, P - 1),
+                                                     st.integers(0, P - 1)), max_size=P),
+                                  label="ties"):
+            log_h[:, dst] = log_h[:, src]
+        shifted = data.draw(arrays(bool, P), label="shifted")
+        log_h[:, shifted] -= 800.0
+        tau = data.draw(st.sampled_from([1e-300, 1e-50, 1e-6, 0.0123, 0.3071]), label="tau")
+
+        report = _build_report(log_h, tau, 10 * M, {1: 1, 2: 2, 6: 3, 24: 4}[P])
+        eta_bar, order, phi, A_size = truncation_per_point(log_h, tau)
+        np.testing.assert_array_equal(report.ordering, order)
+        np.testing.assert_array_equal(report.eta_bar, eta_bar)
+        np.testing.assert_allclose(report.phi_trace, phi, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(report.phi_trace == 0.0, phi == 0.0)
+        assert np.all(np.diff(report.phi_trace) <= 0.0) and report.phi_trace[-1] == 0.0
+        assert report.A_size == A_size
+        assert report.phi_hat == report.phi_trace[A_size - 1]
+
+    def test_report_memory_is_bounded(self):
+        """One (M, k!) buffer besides the input: k = 7 with M = 1000."""
+        log_h = np.random.default_rng(3).normal(0.0, 5.0, (1_000, 5_040))
+        _, peak = traced_peak(lambda: _build_report(log_h, DEFAULT_TAU, 10_000, 7))
+        assert peak < 1.5 * log_h.nbytes
+
+    def test_point_with_zero_density_everywhere_fails(self):
+        """A calibration point no cluster supports is a typed error, not NaN eta_bar."""
+        log_h = np.random.default_rng(4).normal(0.0, 1.0, (5, 6))
+        log_h[2] = -np.inf
+        with pytest.raises(EstimationFailureError, match="1 of 5 calibration points"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _build_report(log_h, DEFAULT_TAU, 50, 3)
 
     def test_phi_trace_monotone_and_exact_zero(self, tiny_two_group_data_module,
                                                fixed_prior_module, tiny_chain):
@@ -429,7 +475,7 @@ class TestChib:
                           GibbsConfig(iterations=4_000, burn_in=1_000),
                           rng=RngStream(80).substream("gibbs"))
         pivot = select_pivot(chain, tiny_two_group_data_module, fixed_prior_module)
-        for mode in ("plain", "k_fact", "permutation_averaged"):
+        for mode in ("k_fact", "permutation_averaged"):
             est = chib(tiny_two_group_data_module, fixed_prior_module, chain, pivot, mode)
             assert est.log_evidence == pytest.approx(TINY8_LOGE_K1, abs=1e-3 + 3 * est.se_log)
             assert est.ess == est.n_particles == len(chain)
@@ -453,16 +499,16 @@ class TestChib:
                      "permutation_averaged")
         assert moved.log_evidence == pytest.approx(base.log_evidence, abs=1e-10)
 
-    def test_kfact_is_plain_plus_logk_factorial(self, tiny_two_group_data_module,
-                                                fixed_prior_module, tiny_chain):
-        pivot = select_pivot(tiny_chain, tiny_two_group_data_module, fixed_prior_module)
-        plain = chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain, pivot,
-                     "plain")
-        kfact = chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain, pivot,
-                     "k_fact")
-        assert kfact.log_evidence == pytest.approx(
-            plain.log_evidence + math.log(2), abs=1e-12
-        )
+    def test_kfact_is_the_ordinate_identity_plus_log_k_factorial(
+            self, tiny_two_group_data_module, fixed_prior_module, tiny_chain):
+        data, prior = tiny_two_group_data_module, fixed_prior_module
+        pivot = select_pivot(tiny_chain, data, prior)
+        kfact = chib(data, prior, tiny_chain, pivot, "k_fact")
+        cond = ConditioningSet.from_draws(data, prior, tiny_chain.means,
+                                          tiny_chain.allocations, tiny_chain.betas)
+        log_ordinate = cond.log_pooled_density(pivot, np.arange(2)[None, :])[0, 0]
+        expected = log_posterior_batch(data, prior, pivot)[0] - log_ordinate + math.log(2)
+        assert kfact.log_evidence == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_unsupported_pivot_raises(self, tiny_two_group_data_module,
                                       fixed_prior_module, tiny_chain):
@@ -474,14 +520,14 @@ class TestChib:
         # the typed error, with no floating-point warning on the way
         with pytest.raises(EstimationFailureError, match="pivot"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain, bad, "plain")
+            chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain, bad, "k_fact")
 
     @pytest.mark.parametrize("draws", [0, 2])
     def test_pivot_of_other_length_rejected(self, tiny_two_group_data_module,
                                             fixed_prior_module, tiny_chain, draws):
         with pytest.raises(ValueError, match="one-draw chain"):
             chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain,
-                 tiny_chain[:draws], "plain")
+                 tiny_chain[:draws], "k_fact")
 
     def test_unknown_mode_rejected(self, tiny_two_group_data_module,
                                    fixed_prior_module, tiny_chain):

@@ -14,6 +14,7 @@ from mixevidence.harness import (
     RunRecord,
     parse_prior,
     read_summary_csv,
+    replicate_chains,
     resolve_dataset,
     run_experiment,
     run_replicate,
@@ -96,6 +97,17 @@ class TestConfig:
         cfg = _tiny_config()
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.as_dict())))
         assert again == cfg
+
+    def test_from_dict_names_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"\['thining', 'tua'\]"):
+            ExperimentConfig.from_dict({"tua": 1e-3, "k": 2, "thining": 2})
+
+    def test_negative_replicate_rejected(self):
+        # its stream key would be 2^64 - 1, which no run of replicates 0..R-1 uses
+        cfg = _tiny_config()
+        data = resolve_dataset(cfg)
+        with pytest.raises(ValueError, match="replicate must be >= 0"):
+            replicate_chains(cfg, data, parse_prior(cfg.prior, data), -1)
 
 
 class TestPriorParsing:
