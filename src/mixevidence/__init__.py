@@ -51,6 +51,5 @@ from .estimators import (
 )
 from .datasets import MixtureSpec, builtin_dataset, generate_dataset, load_dataset
 from .harness import ExperimentConfig, RunRecord, run_experiment, summarize
-from .oracle import evidence_quadrature_k1, posterior_moments_k1
 
 __version__ = "0.1.0"

@@ -63,20 +63,17 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
-    payload: dict = {}
+    payload = {}
     if args.config:
         with open(args.config) as fh:
-            payload.update(json.load(fh))
-    for key in ExperimentConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            payload[key] = value
-    if "estimators" in payload and isinstance(payload["estimators"], str):
-        payload["estimators"] = tuple(
-            name.strip() for name in payload["estimators"].split(",") if name.strip()
+            payload = json.load(fh)
+    flags = {key: getattr(args, key) for key in ExperimentConfig.__dataclass_fields__
+             if getattr(args, key, None) is not None}
+    if "estimators" in flags:  # --estimators is comma-separated
+        flags["estimators"] = tuple(
+            name.strip() for name in flags["estimators"].split(",") if name.strip()
         )
-    payload.update(overrides)
-    return ExperimentConfig.from_dict(payload)
+    return ExperimentConfig.from_dict(payload, **{**flags, **overrides})
 
 
 class _InputError(Exception):

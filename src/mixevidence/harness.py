@@ -15,6 +15,8 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -90,6 +92,24 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        def require(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
+
+        for name in ("dataset", "prior"):
+            require(isinstance(getattr(self, name), str), name, "a string")
+        require(self.out is None or isinstance(self.out, str), "out", "a string or null")
+        require(isinstance(self.estimators, Sequence) and not isinstance(self.estimators, str)
+                and all(isinstance(e, str) for e in self.estimators),
+                "estimators", "a list of estimator names")
+        require(isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool),
+                "tau", "a number")
+        for name in ("k", "T", "J", "J1", "M", "M1", "M2", "bridge_J1", "bridge_iterations",
+                     "iterations", "burn_in", "thinning", "replicates", "seed", "n", "threads"):
+            value = getattr(self, name)
+            if value is None and name in ("J1", "n"):
+                continue
+            require(isinstance(value, int) and not isinstance(value, bool), name, "an integer")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         unknown = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
         if unknown:
@@ -129,14 +149,15 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentConfig":
+    def from_dict(cls, payload, **overrides) -> "ExperimentConfig":
+        """The config of a JSON object's fields, with `overrides` taking
+        precedence over them."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(payload).__name__}")
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        payload = dict(payload)
-        if "estimators" in payload:
-            payload["estimators"] = tuple(payload["estimators"])
-        return cls(**payload)
+        return cls(**{**payload, **overrides})
 
 
 def parse_prior(spec: str, data: Dataset) -> PriorSpec:

@@ -69,7 +69,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import (
     LOG_2PI,
@@ -77,6 +76,7 @@ from .numerics import (
     dirichlet_logpdf,
     gamma_logpdf,
     inverse_gamma_logpdf,
+    log_gamma,
     log_sum_exp_into,
     normal_logpdf,
 )
@@ -440,8 +440,8 @@ class ConditioningSet:
                 raise ValueError("hierarchical prior requires stored betas")
             beta = np.asarray(betas, float)[:, None]
         ig_shape, ig_scale = variance_conditional(prior, counts, sums, sums_sq, means, beta)
-        dir_const = gammaln(k + counts.sum(axis=1)) - gammaln(1.0 + counts).sum(axis=1)
-        ig_const = dir_const + np.sum(ig_shape * np.log(ig_scale) - gammaln(ig_shape), axis=1)
+        dir_const = log_gamma(k + counts.sum(axis=1)) - log_gamma(1.0 + counts).sum(axis=1)
+        ig_const = dir_const + np.sum(ig_shape * np.log(ig_scale) - log_gamma(ig_shape), axis=1)
         return cls(prior=prior, counts=counts, sums=sums, ig_shape=ig_shape,
                    ig_scale=ig_scale, ig_const=ig_const)
 

@@ -14,7 +14,10 @@ normalized, since the evidence identities this package implements
 require normalized conditionals.  A label permutation is a (k,) gather
 row.  `permutation_rows` decodes rows of the lexicographic order of S_k
 from their indices, so only `permutation_matrix`, which lists all k! of
-them, is bounded by the enumeration cap.
+them, is bounded by the enumeration cap.  log Gamma, for the normalising
+constants of the Dirichlet, inverse-gamma and gamma densities, comes from
+`math.lgamma`, once per distinct argument, so the package loads on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import zlib
 
 import numpy as np
-from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -106,6 +108,28 @@ def permutation_matrix(k: int) -> np.ndarray:
     return permutation_rows(np.arange(math.factorial(k)), k)
 
 
+def _lgamma(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except (ValueError, OverflowError):  # a pole (0, -1, -2, ...) or x beyond 2.5e305
+        return math.inf
+
+
+def log_gamma(x):
+    """log |Gamma(x)| elementwise, in the input's shape; a float for a scalar or
+    0-d input.  A pole (a non-positive integer) gives +inf.
+
+    `math.lgamma` runs once per distinct value: the arguments this package
+    builds from allocation counts take at most n + 1 distinct values per array.
+    """
+    if np.ndim(x) == 0:
+        return _lgamma(float(x))
+    x = np.asarray(x, dtype=float)
+    values, inverse = np.unique(x, return_inverse=True)
+    table = np.array([_lgamma(v) for v in values.tolist()], dtype=float)
+    return table[inverse].reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # Array log-density kernels.  These broadcast and are the workhorses for the
 # vectorized proposal evaluations.
@@ -125,7 +149,7 @@ def inverse_gamma_logpdf(x, shape, scale):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = (
             shape * np.log(scale)
-            - gammaln(shape)
+            - log_gamma(shape)
             - (shape + 1.0) * np.log(x)
             - scale / x
         )
@@ -138,7 +162,7 @@ def gamma_logpdf(x, shape, rate):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
             shape * np.log(rate)
-            - gammaln(shape)
+            - log_gamma(shape)
             + (shape - 1.0) * np.log(x)
             - rate * x
         )
@@ -151,7 +175,7 @@ def dirichlet_logpdf(weights, concentration):
     alpha = np.atleast_1d(np.asarray(concentration, dtype=float))
     if w.shape[-1] != alpha.shape[-1]:
         raise ValueError("weights/concentration length mismatch")
-    const = gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
+    const = log_gamma(alpha.sum(axis=-1)) - log_gamma(alpha).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(alpha == 1.0, 0.0, (alpha - 1.0) * np.log(w))
     out = const + terms.sum(axis=-1)

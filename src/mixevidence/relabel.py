@@ -7,13 +7,15 @@ standardized (mean, log variance, log weight) coordinates.  The distance
 is a sum over matched components, so the closest permutation is a linear
 assignment on the k x k matrix of component-pair costs, solved exactly
 without enumerating S_k.  `alignment` returns the per-draw gather rows, so
-the transform is reproducible and invertible.
+the transform is reproducible and invertible.  The assignment is scipy's,
+imported on first use: `scipy.optimize` takes about half a second to load,
+and nothing else that `import mixevidence` loads needs scipy, so a process
+that never relabels never pays for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .gibbs import GibbsChain, permute_draws
 
@@ -33,6 +35,9 @@ def alignment(chain: GibbsChain, reference: GibbsChain) -> np.ndarray:
     standardized squared distance between reference component i and
     component row[i] of draw t.  Ties follow `linear_sum_assignment`.
     """
+    # on first use, not with the module: scipy.optimize takes about 0.5 s to import
+    from scipy.optimize import linear_sum_assignment
+
     k = chain.k
     if reference.k != k:
         raise ValueError("reference has a different number of components")

@@ -151,6 +151,14 @@ def test_compare_reports_an_estimator_that_fails_every_replicate(capsys):
     assert "1 estimator failures" in out
 
 
+BAD_CONFIGS = {
+    "bad.json": {"thining": 2},
+    "list.json": [1],
+    "string-k.json": {"k": "3"},
+    "float-T.json": {"T": 2.5},
+}
+
+
 @pytest.mark.parametrize("make_argv, message", [
     (lambda tmp: ["simulate", "--config", str(tmp / "bad.json")], "['thining']"),
     (lambda tmp: ["simulate", "--dataset", str(tmp / "missing.txt")], "missing.txt"),
@@ -158,11 +166,19 @@ def test_compare_reports_an_estimator_that_fails_every_replicate(capsys):
     (lambda tmp: ["estimate", "--estimator", "chib_kfact", "--dataset", "d1",
                   "--iterations", "300", "--burn-in", "100", "--replicate", "-1"],
      "replicate must be >= 0"),
-], ids=["unknown-config-key", "missing-dataset", "k-zero", "negative-replicate"])
+    (lambda tmp: ["simulate", "--config", str(tmp / "list.json")],
+     "a config must be a JSON object, not list"),
+    (lambda tmp: ["simulate", "--config", str(tmp / "string-k.json")],
+     "k must be an integer, not '3'"),
+    (lambda tmp: ["simulate", "--config", str(tmp / "float-T.json")],
+     "T must be an integer, not 2.5"),
+], ids=["unknown-config-key", "missing-dataset", "k-zero", "negative-replicate",
+        "config-not-an-object", "string-k", "float-T"])
 def test_bad_input_is_a_one_line_error(tmp_path, capsys, make_argv, message):
     """A config, dataset or replicate the command cannot use exits 2 with one
     `mixevidence: error:` line and no traceback or row."""
-    (tmp_path / "bad.json").write_text(json.dumps({"thining": 2}))
+    for name, payload in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
     assert main(make_argv(tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import multiprocessing
+import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,21 @@ class TestConfig:
         cfg = _tiny_config()
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.as_dict())))
         assert again == cfg
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("k", "3"), ("k", True), ("T", 2.5), ("seed", 1.0), ("n", "20"), ("J1", 7.0),
+        ("tau", "1e-3"), ("tau", False), ("dataset", 1), ("prior", None), ("out", 3),
+        ("estimators", "sym_is"), ("estimators", 5), ("estimators", ["sym_is", 1]),
+    ])
+    def test_field_types(self, field_name, value):
+        message = rf"^{field_name} must be .*, not {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field_name: value})
+
+    def test_from_dict_takes_a_json_object(self):
+        with pytest.raises(ValueError, match="^a config must be a JSON object, not list$"):
+            ExperimentConfig.from_dict([1])
+        assert ExperimentConfig.from_dict({"k": 2, "T": 50}, T=60) == ExperimentConfig(k=2, T=60)
 
     def test_from_dict_names_unknown_keys(self):
         with pytest.raises(ValueError, match=r"\['thining', 'tua'\]"):
@@ -288,6 +307,35 @@ def test_replicate_rows_pinned(workload):
         assert row["se_log"] == pytest.approx(se_log, rel=1e-12, abs=0), method
         assert row["density_evaluations"] == evaluations, method
         assert row.get("A_size") == A_size, method
+
+
+# Imports the package, its harness and its command line in a fresh process,
+# runs one replicate and prints its rows' errors and the scipy modules loaded.
+IMPORT_FOOTPRINT = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import mixevidence, mixevidence.cli, mixevidence.harness
+from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset, run_replicate
+config = ExperimentConfig(**json.loads(sys.argv[2]))
+data = resolve_dataset(config)
+rows = run_replicate(config, data, parse_prior(config.prior, data), 0)
+print(json.dumps({"errors": [r["error"] for r in rows],
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_scipy_module_without_relabelling():
+    """The package, and a replicate of every route but the two that relabel
+    (sym_is and sym_is_trunc), load no scipy module: log Gamma comes from
+    `math.lgamma` and the assignment solver is imported on first use."""
+    fields = dict(PINNED_ROWS["galaxy_full"][0], **SMOKE_SIZES,
+                  estimators=["chib_kfact", "chib_perm", "plugin_is", "mixture_is", "bridge"])
+    src = Path(model.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT, str(src), json.dumps(fields)],
+                          capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(done.stdout)
+    assert result["errors"] == [""] * 5
+    assert result["scipy"] == []
 
 
 class TestRecordsAndSummaries:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as ss
 from scipy import integrate
+from scipy.special import gammaln
 
 from mixevidence import model
 from mixevidence.datasets import builtin_dataset
@@ -590,6 +591,20 @@ class TestConditioningSetEngine:
                                               allocs.astype(dtype))
             for name in ("counts", "sums", "ig_shape", "ig_scale", "ig_const"):
                 assert_same_bits(getattr(cond, name), getattr(expected, name))
+
+    def test_from_draws_constants_match_scipy(self):
+        """`ig_const`, log Gamma from `math.lgamma`, is within 1e-13 relative of
+        its recomputation with scipy's gammaln on a galaxy chain."""
+        data, k = builtin_dataset("galaxy"), 4
+        prior = HierarchicalPrior.from_data(data)
+        chain = run_gibbs(data, prior, k, GibbsConfig(iterations=600, burn_in=100), rng=11)
+        cond = ConditioningSet.from_draws(data, prior, chain.means, chain.allocations,
+                                          chain.betas)
+        counts = cond.counts
+        expected = (gammaln(k + counts.sum(axis=1)) - gammaln(1.0 + counts).sum(axis=1)
+                    + np.sum(cond.ig_shape * np.log(cond.ig_scale) - gammaln(cond.ig_shape),
+                             axis=1))
+        np.testing.assert_allclose(cond.ig_const, expected, rtol=1e-13, atol=0)
 
     def test_from_draws_memory_is_bounded(self, hier_prior):
         """A galaxy-sized chain's statistics take under 3 MiB beyond the set

@@ -8,6 +8,7 @@ import scipy.stats as ss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaln
 
 from mixevidence.gibbs import GibbsChain, permute_draws
 from mixevidence.numerics import (
@@ -15,6 +16,7 @@ from mixevidence.numerics import (
     PermutationCapacityError,
     RngStream,
     as_generator,
+    log_gamma,
     log_sum_exp,
     log_sum_exp_into,
     permutation_matrix,
@@ -188,6 +190,60 @@ class TestPermutations:
         mat = permutation_matrix(3)
         assert mat.shape == (6, 3)
         np.testing.assert_array_equal(mat[0], [0, 1, 2])
+
+
+# The arguments log Gamma meets: integer Dirichlet parameters 1 + count and
+# k + n; half-integer inverse-gamma shapes a + count/2 for the prior shapes in
+# use (2 for the fixed priors, 0.2 for beta's shape, which becomes 0.2 + 2k);
+# and values below 1 and far above the sample sizes.
+LOG_GAMMA_ARGUMENTS = st.one_of(
+    st.integers(1, 500).map(float),
+    st.builds(lambda a, m: a + m / 2, st.sampled_from([0.2, 1.0, 2.0]), st.integers(0, 400)),
+    st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1e-3, 1e6),
+)
+
+
+@st.composite
+def log_gamma_inputs(draw):
+    """A scalar, a 0-d array or a (B, k) array of `LOG_GAMMA_ARGUMENTS`."""
+    form = draw(st.sampled_from(["scalar", "0-d", "array"]))
+    if form == "scalar":
+        return draw(LOG_GAMMA_ARGUMENTS)
+    if form == "0-d":
+        return np.array(draw(LOG_GAMMA_ARGUMENTS))
+    B, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    values = draw(st.lists(LOG_GAMMA_ARGUMENTS, min_size=B * k, max_size=B * k))
+    return np.array(values).reshape(B, k)
+
+
+class TestLogGamma:
+    @given(log_gamma_inputs())
+    @settings(max_examples=300)
+    def test_matches_scipy(self, x):
+        """Within 1e-14 relative of scipy's gammaln, or 1e-14 absolute where
+        |log Gamma| < 1 (near its roots at 1 and 2), in the input's shape."""
+        got = log_gamma(x)
+        expected = gammaln(x)
+        if np.ndim(x) == 0:
+            assert isinstance(got, float)
+        else:
+            assert got.shape == np.shape(x)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(np.abs(expected), 1.0))
+
+    def test_poles_are_inf(self):
+        for pole in (0, 0.0, -1.0, -7):
+            assert log_gamma(pole) == math.inf
+        got = log_gamma(np.array([[0.0, -1.0], [2.5, -3.0]]))
+        np.testing.assert_array_equal(got, [[np.inf, np.inf], [math.lgamma(2.5), np.inf]])
+        assert log_gamma(-2.5) == pytest.approx(float(gammaln(-2.5)), rel=1e-14)
+
+    def test_repeated_values_share_one_result(self):
+        x = np.array([[3.5, 1.0, 3.5], [1.0, 3.5, 61.0]])
+        got = log_gamma(x)
+        assert got[0, 0] == got[0, 2] == got[1, 1] == log_gamma(3.5)
+        assert got[0, 1] == got[1, 0] == 0.0
+        assert log_gamma(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestDistributions:
