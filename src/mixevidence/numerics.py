@@ -16,8 +16,8 @@ row.  `permutation_rows` decodes rows of the lexicographic order of S_k
 from their indices, so only `permutation_matrix`, which lists all k! of
 them, is bounded by the enumeration cap.  log Gamma, for the normalising
 constants of the Dirichlet, inverse-gamma and gamma densities, comes from
-`math.lgamma`, once per distinct argument, so the package loads on numpy
-alone.
+`math.lgamma` (`log_gamma` calls it once per distinct argument) rather than
+from scipy, so that the package loads on numpy alone.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import gammaln
 
 from .model import Dataset, FixedPrior
 from .numerics import inverse_gamma_logpdf, normal_logpdf
@@ -148,10 +147,10 @@ def evidence_enumeration(data: Dataset, prior: FixedPrior, k: int,
     terms = []
     for z in product(range(k), repeat=n):
         z_arr = np.asarray(z)
-        logp = gammaln(k) - gammaln(n + k)
+        logp = math.lgamma(k) - math.lgamma(n + k)
         for i in range(k):
             members = tuple(np.nonzero(z_arr == i)[0])
-            logp += gammaln(len(members) + 1.0) + group(members)
+            logp += math.lgamma(len(members) + 1.0) + group(members)
         terms.append(logp)
     shift = max(terms)
     return shift + math.log(sum(math.exp(t - shift) for t in terms))
