@@ -14,8 +14,8 @@ import math
 import numpy as np
 from scipy import integrate, optimize
 
-from .model import Dataset, FixedPrior
-from .numerics import inverse_gamma_logpdf, normal_logpdf
+from mixevidence.model import Dataset, FixedPrior
+from mixevidence.numerics import inverse_gamma_logpdf, normal_logpdf
 
 
 def _log_joint_k1(data: Dataset, prior: FixedPrior):

@@ -41,9 +41,9 @@ from mixevidence.gibbs import GibbsConfig, permute_chain, run_gibbs, select_pivo
 from mixevidence.harness import ExperimentConfig, parse_prior, run_replicate
 from mixevidence.model import log_likelihood_batch, log_prior_batch
 from mixevidence.numerics import RngStream, log_sum_exp, permutation_matrix
-from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
+from oracle import evidence_quadrature_k1
 from reference import MixtureParams, from_params, permute_params
 
 

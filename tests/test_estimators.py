@@ -40,10 +40,10 @@ from mixevidence.model import (
     log_prior_batch,
 )
 from mixevidence.numerics import RngStream, log_sum_exp, permutation_matrix
-from mixevidence.oracle import evidence_quadrature_k1
 from mixevidence.relabel import relabel_chain
 
 from conftest import random_params, traced_peak
+from oracle import evidence_quadrature_k1
 from reference import truncation_per_point
 from reference import from_params, log_block_density, permute_params, scalar_draw
 

@@ -29,10 +29,10 @@ from mixevidence.model import (
     log_posterior_batch,
 )
 from mixevidence.numerics import RngStream, permutation_matrix, permutation_rows
-from mixevidence.oracle import log_marginal_group, posterior_moments_k1
 from mixevidence.relabel import relabel_chain
 
 from conftest import traced_peak
+from oracle import log_marginal_group, posterior_moments_k1
 from reference import (
     MixtureParams,
     allocation_log_probs,

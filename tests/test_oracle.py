@@ -5,13 +5,13 @@ import pytest
 from scipy import integrate
 
 from mixevidence.model import Dataset, FixedPrior
-from mixevidence.oracle import (
+
+from oracle import (
     evidence_enumeration,
     evidence_quadrature_k1,
     log_marginal_group,
     posterior_moments_k1,
 )
-
 from reference import MixtureParams, log_likelihood, log_prior
 from test_estimators import TINY6_LOGE_K3, TINY8_LOGE_K1, TINY8_LOGE_K2
 

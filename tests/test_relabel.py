@@ -1,10 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
+from mixevidence import model
 from mixevidence.gibbs import GibbsChain, GibbsConfig, permute_chain, run_gibbs, select_pivot
+from mixevidence.harness import ExperimentConfig, parse_prior, replicate_chains, resolve_dataset
 from mixevidence.model import Dataset, FixedPrior, log_posterior_batch
 from mixevidence.numerics import RngStream
-from mixevidence.relabel import alignment, relabel_chain
+from mixevidence.relabel import _assign, alignment, relabel_chain
 
 from reference import (
     log_likelihood,
@@ -164,6 +172,89 @@ def test_relabel_undoes_permute_beyond_enumeration_cap(k):
     rel = relabel_chain(mixed, chain[0])
     for name in ("weights", "means", "variances", "allocations"):
         np.testing.assert_array_equal(getattr(rel, name), getattr(chain, name), err_msg=name)
+
+
+@st.composite
+def _costs(draw, integer):
+    """A (T, k, k) cost at k = 1...8: real, or in {0, 1, 2}, where ties are common."""
+    k = draw(st.integers(1, 8))
+    shape = (draw(st.integers(1, 12)), k, k)
+    if integer:
+        return draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0])))
+    return draw(arrays(np.float64, shape,
+                       elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+
+
+class TestAssignment:
+    @given(cost=st.one_of(_costs(integer=False), _costs(integer=True)))
+    def test_columns_equal_linear_sum_assignment(self, cost):
+        """Row for row, the lockstep solver gives scipy's columns, ties included."""
+        want = [linear_sum_assignment(pair_cost)[1] for pair_cost in cost]
+        np.testing.assert_array_equal(_assign(cost), want)
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 10])
+    def test_all_tied_costs_give_scipy_columns(self, k):
+        cost = np.zeros((2, k, k))
+        np.testing.assert_array_equal(_assign(cost),
+                                      [linear_sum_assignment(c)[1] for c in cost])
+
+    @pytest.fixture(scope="class", params=[("d2", 3, "fixed:2,15"), ("galaxy", 4, "rg")],
+                    ids=["d2", "galaxy"])
+    def gibbs_chains(self, request):
+        """A benchmark config's Gibbs chain, its randomly relabelled copy and its pivot."""
+        dataset, k, prior = request.param
+        config = ExperimentConfig(dataset=dataset, k=k, prior=prior, estimators=(),
+                                  iterations=2_000, burn_in=500, seed=201)
+        data = resolve_dataset(config)
+        prior_spec = parse_prior(prior, data)
+        _, chain, permuted = replicate_chains(config, data, prior_spec, 0)
+        return chain, permuted, select_pivot(chain, data, prior_spec)
+
+    def test_gibbs_chains_match_exhaustive_search(self, gibbs_chains):
+        chain, permuted, pivot = gibbs_chains
+        for draws in (chain, permuted):
+            np.testing.assert_array_equal(alignment(draws, pivot),
+                                          nearest_relabelling(draws, pivot))
+
+    def test_blocks_do_not_change_the_rows(self, gibbs_chains, monkeypatch):
+        chain, permuted, pivot = gibbs_chains
+        whole = alignment(permuted, pivot)
+        monkeypatch.setattr(model, "KERNEL_BUDGET", 3 * chain.k ** 2)  # 3-draw blocks
+        np.testing.assert_array_equal(alignment(permuted, pivot), whole)
+
+
+class TestDegenerateDraws:
+    """A chain that cannot be relabelled is a ValueError raised before the
+    assignment, with no floating-point warning first."""
+
+    def test_zero_variance_names_the_draws(self, aligned_chain):
+        variances = aligned_chain.variances.copy()
+        variances[[7, 19, 19, 30], [0, 0, 1, 1]] = 0.0
+        chain = _chain_from_arrays(aligned_chain.weights, aligned_chain.means, variances)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="3 draws .* the first is draw 7"):
+                alignment(chain, aligned_chain[0])
+            with pytest.raises(ValueError, match="3 draws .* the first is draw 7"):
+                relabel_chain(chain, aligned_chain[0])
+
+    def test_non_finite_reference_rejected(self, aligned_chain):
+        variances = aligned_chain.variances[:1].copy()
+        variances[0, 1] = 0.0
+        reference = _chain_from_arrays(aligned_chain.weights[:1], aligned_chain.means[:1],
+                                       variances)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="reference has a non-finite"):
+                alignment(aligned_chain, reference)
+
+    def test_empty_chain_rejected(self, aligned_chain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cannot relabel an empty chain"):
+                alignment(aligned_chain[:0], aligned_chain[0])
+            with pytest.raises(ValueError, match="cannot relabel an empty chain"):
+                relabel_chain(aligned_chain[:0], aligned_chain[0])
 
 
 class TestReference:
