@@ -181,6 +181,29 @@ class TestRunGibbs:
         got["allocation_fallbacks"] = chain.allocation_fallbacks
         assert got == self.CHAIN_CRC32[(dataset, k, prior)]
 
+    # A variance shape of 0.005 makes `standard_gamma` return exact zeros, and
+    # the sweep stores the variance scale / 0 as +inf (85 of the 4500 stored
+    # variances).  Taken like CHAIN_CRC32, with warnings suppressed.
+    DEGENERATE_CRC32 = {
+        "weights": 3260142169, "means": 1795350266, "variances": 3445961036,
+        "allocations": 2052219643, "allocation_fallbacks": 0, "infinite_variances": 85,
+    }
+
+    def test_degenerate_chain_checksum_pinned(self):
+        """Zero variance gammas give the same infinite variances and the same chain."""
+        cfg = ExperimentConfig(dataset="d1", k=3, prior="fixed:0.005,3", estimators=(),
+                               iterations=2_000, burn_in=500, seed=201)
+        data = resolve_dataset(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            chain = run_gibbs(data, parse_prior(cfg.prior, data), cfg.k, cfg.gibbs_config(),
+                              rng=RngStream(cfg.seed).substream("replicate", 0, "gibbs"))
+        got = {name: zlib.crc32(np.ascontiguousarray(getattr(chain, name)).tobytes())
+               for name in ("weights", "means", "variances", "allocations")}
+        got["allocation_fallbacks"] = chain.allocation_fallbacks
+        got["infinite_variances"] = int(np.isinf(chain.variances).sum())
+        assert got == self.DEGENERATE_CRC32
+
 
 class TestAllocationFallback:
     """Degenerate states reach the nearest-mean fallback without a warning."""
