@@ -8,13 +8,20 @@ evaluates, so one sweep from a stored draw is an exact sample from the
 block density the estimators use.
 
 The random stream is part of the contract, and the CRC32 pins in the
-tests freeze it.  Every sweep after the first draws, in this order:
-`gumbel` of shape (n, k) for the allocations (Gumbel-max), `dirichlet` for
-the weights, `standard_gamma` of the k variance shapes, `standard_normal`
-of size k for the means and, under the hierarchical prior, one `gamma` for
-the shared scale.  The first sweep starts from the quantile allocation and
-skips the `gumbel` draw.  A change of these calls, their order or their
-arithmetic changes every chain.
+tests freeze it.  Every sweep after the first draws these values, in this
+order:
+
+- n * k `gumbel` values, row by row, for the allocations (Gumbel-max);
+- k weight gammas, `standard_gamma(1 + n_i)` for i = 1..k, which are
+  normalised into the weights as numpy's `dirichlet` normalises them;
+- k variance gammas, `standard_gamma(shape_i)`;
+- k `standard_normal` values for the means;
+- under the hierarchical prior, one `gamma` for the shared scale.
+
+The first sweep starts from the quantile allocation and draws no `gumbel`
+values.  How the values are drawn is free (the allocations take one (n, k)
+call, the parameters one scalar call per value), but a change of the values,
+their order or the arithmetic on them changes every chain.
 
 The stored draws are a `GibbsChain`, a `model.ParamsBatch` that also holds
 each draw's allocations.  They are relabelled only afterwards, each by a
@@ -152,7 +159,13 @@ def _sample_allocation(xc, weights, means, variances, gen):
 
 def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
               rng) -> GibbsChain:
-    """Run the sampler; draws are deterministic given (data, prior, config, rng)."""
+    """Run the sampler; draws are deterministic given (data, prior, config, rng).
+
+    The parameter step runs on Python floats, one component at a time, with
+    scalar generator calls: on (k,) arrays numpy's per-call overhead costs
+    more than the arithmetic.  Each float operation is the one the array
+    code applies elementwise, so the draws have its bits.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     gen = as_generator(rng)
@@ -162,9 +175,9 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     x_sq = x * x
 
     z = _init_allocation(x, k)
-    counts = np.bincount(z, minlength=k).astype(float)
-    sums = np.bincount(z, weights=x, minlength=k)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1.0), prior.mean_loc)
+    counts = np.bincount(z, minlength=k).tolist()
+    sums = np.bincount(z, weights=x, minlength=k).tolist()
+    means = [s / c if c else prior.mean_loc for c, s in zip(counts, sums)]
     beta = prior.beta_shape / prior.beta_rate if prior.hierarchical else None
 
     kept = config.kept
@@ -180,19 +193,36 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     out = 0
     for sweep in range(config.iterations):
         if sweep > 0:
-            z, n_bad = _sample_allocation(xc, weights, means, variances, gen)
+            z, n_bad = _sample_allocation(xc, np.array(weights), np.array(means),
+                                          np.array(variances), gen)
             total_fallbacks += n_bad
-            counts = np.bincount(z, minlength=k).astype(float)
-            sums = np.bincount(z, weights=x, minlength=k)
-        sums_sq = np.bincount(z, weights=x_sq, minlength=k)
+            counts = np.bincount(z, minlength=k).tolist()
+            sums = np.bincount(z, weights=x, minlength=k).tolist()
+        sums_sq = np.bincount(z, weights=x_sq, minlength=k).tolist()
 
-        weights = gen.dirichlet(1.0 + counts)
-        shape, scale = variance_conditional(prior, counts, sums, sums_sq, means, beta)
-        variances = scale / gen.standard_gamma(shape)
-        cond_mean, cond_var = mean_conditional(prior, counts, sums, variances)
-        means = cond_mean + np.sqrt(cond_var) * gen.standard_normal(k)
+        # the weights as numpy's `dirichlet` forms them from concentrations
+        # of at least 0.1: each gamma times the inverse of their left-to-right
+        # sum (`sum` compensates from Python 3.12 on)
+        gammas = [gen.standard_gamma(1.0 + c) for c in counts]
+        total = 0.0
+        for g in gammas:
+            total += g
+        inverse = 1.0 / total
+        weights = [g * inverse for g in gammas]
+        variances = []
+        for c, s, ss, m in zip(counts, sums, sums_sq, means):
+            shape, scale = variance_conditional(prior, c, s, ss, m, beta)
+            g = gen.standard_gamma(shape)
+            # a tiny shape draws exact zeros: scale * inf is numpy's scale / 0
+            variances.append(scale / g if g else scale * math.inf)
+        means = []
+        for c, s, v in zip(counts, sums, variances):
+            cond_mean, cond_var = mean_conditional(prior, c, s, v)
+            means.append(cond_mean + math.sqrt(cond_var) * gen.standard_normal())
         if prior.hierarchical:
-            shape, rate = beta_conditional(prior, variances)
+            # an array, not floats: from eight terms on `np.sum` is not a
+            # left-to-right sum
+            shape, rate = beta_conditional(prior, np.array(variances))
             beta = float(gen.gamma(shape, 1.0 / rate))
 
         if sweep >= config.burn_in and (sweep - config.burn_in) % config.thinning == 0:

@@ -19,7 +19,10 @@ are written once, in `variance_conditional`, `mean_conditional` and
 and `ConditioningSet` samples and evaluates the block density in batches.
 It samples a batch in one pass whatever the number of distinct draws it
 conditions on: each factor's parameters are gathered per particle and drawn
-with one generator call.
+with one generator call.  `variance_conditional` and `mean_conditional`
+take Python floats or arrays, with the same bits either way: the sweep
+calls them on one component's floats and `ConditioningSet` on arrays.
+`beta_conditional` sums over the last axis of an array.
 
 The block density factorises over components: under a label permutation
 sigma, batch component i only meets draw component sigma(i).  One element
@@ -184,9 +187,11 @@ PriorSpec = FixedPrior | HierarchicalPrior
 
 
 # ---------------------------------------------------------------------------
-# Block conditionals, on arrays of per-component statistics.  Counts, sums
-# and sums of squares are those of the conditioning allocation; empty
-# components reduce to the prior.
+# Block conditionals, on per-component statistics as Python floats or
+# arrays.  Counts, sums and sums of squares are those of the conditioning
+# allocation; empty components reduce to the prior.  On floats every
+# operation is the one numpy applies elementwise (x * x, not x**2, which
+# is C `pow` on a float and raises on overflow).
 # ---------------------------------------------------------------------------
 
 def variance_conditional(prior: PriorSpec, counts, sums, sums_sq, means, beta=None):
@@ -197,7 +202,7 @@ def variance_conditional(prior: PriorSpec, counts, sums, sums_sq, means, beta=No
     """
     base = beta if prior.hierarchical else prior.var_scale
     shape = prior.var_shape + 0.5 * counts
-    scale = base + 0.5 * (sums_sq - 2.0 * means * sums + counts * means**2)
+    scale = base + 0.5 * (sums_sq - 2.0 * means * sums + counts * (means * means))
     return shape, scale
 
 

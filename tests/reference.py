@@ -13,9 +13,9 @@ statistics of an allocation, the full conditionals, and the block density
 pi(theta | theta', z', x) with an exact sampler, and the relabelling of a
 chain towards a reference by exhaustive search over S_k.  It also keeps
 `log_sum_exp_into` as it was before its exponent floor, the grouped
-loop that `ConditioningSet.sample` replaced, and the truncation report's
-phi trace summed point by point.  The tests check the batched code against
-it.
+loop that `ConditioningSet.sample` replaced, the truncation report's
+phi trace summed point by point, and the Gibbs sampler with its parameter
+step on (k,) arrays.  The tests check the batched code against it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from mixevidence.gibbs import GibbsChain
+from mixevidence.gibbs import GibbsChain, GibbsConfig, _init_allocation, _sample_allocation
 from mixevidence.model import (
     ConditioningSet,
     Dataset,
@@ -34,6 +34,7 @@ from mixevidence.model import (
     PriorSpec,
     beta_conditional,
     mean_conditional,
+    variance_conditional,
 )
 from mixevidence.numerics import (
     as_generator,
@@ -548,3 +549,64 @@ def truncation_per_point(log_h: np.ndarray, tau: float):
     below = np.nonzero(phi < tau)[0]
     A_size = int(below[0]) + 1 if below.size else P
     return eta_bar[order], order, phi, A_size
+
+
+# ---------------------------------------------------------------------------
+# The Gibbs sampler with its parameter step on (k,) arrays.
+# ---------------------------------------------------------------------------
+
+def array_sweep_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
+                      rng) -> GibbsChain:
+    """`gibbs.run_gibbs` with the weights, variances and means of a sweep
+    drawn by one generator call each on (k,) arrays: `dirichlet`,
+    `standard_gamma` of the k shapes and `standard_normal` of size k."""
+    gen = as_generator(rng)
+    x = data.observations
+    n = x.size
+    xc = x[:, None]
+    x_sq = x * x
+
+    z = _init_allocation(x, k)
+    counts = np.bincount(z, minlength=k).astype(float)
+    sums = np.bincount(z, weights=x, minlength=k)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1.0), prior.mean_loc)
+    beta = prior.beta_shape / prior.beta_rate if prior.hierarchical else None
+
+    kept = config.kept
+    W = np.empty((kept, k))
+    M = np.empty((kept, k))
+    V = np.empty((kept, k))
+    Z = np.empty((kept, n), dtype=np.int16)
+    B = np.empty(kept) if prior.hierarchical else None
+
+    variances = None
+    weights = None
+    total_fallbacks = 0
+    out = 0
+    for sweep in range(config.iterations):
+        if sweep > 0:
+            z, n_bad = _sample_allocation(xc, weights, means, variances, gen)
+            total_fallbacks += n_bad
+            counts = np.bincount(z, minlength=k).astype(float)
+            sums = np.bincount(z, weights=x, minlength=k)
+        sums_sq = np.bincount(z, weights=x_sq, minlength=k)
+
+        weights = gen.dirichlet(1.0 + counts)
+        shape, scale = variance_conditional(prior, counts, sums, sums_sq, means, beta)
+        with np.errstate(divide="ignore", over="ignore"):
+            # a tiny shape draws zero and subnormal gammas: the variance is +inf
+            variances = scale / gen.standard_gamma(shape)
+        cond_mean, cond_var = mean_conditional(prior, counts, sums, variances)
+        means = cond_mean + np.sqrt(cond_var) * gen.standard_normal(k)
+        if prior.hierarchical:
+            shape, rate = beta_conditional(prior, variances)
+            beta = float(gen.gamma(shape, 1.0 / rate))
+
+        if sweep >= config.burn_in and (sweep - config.burn_in) % config.thinning == 0:
+            W[out], M[out], V[out], Z[out] = weights, means, variances, z
+            if B is not None:
+                B[out] = beta
+            out += 1
+
+    return GibbsChain(weights=W, means=M, variances=V, betas=B, allocations=Z,
+                      allocation_fallbacks=total_fallbacks)

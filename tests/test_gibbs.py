@@ -9,6 +9,7 @@ import pytest
 from scipy.special import gammaln
 
 from mixevidence import model
+from mixevidence.datasets import builtin_dataset
 from mixevidence.gibbs import (
     GibbsChain,
     GibbsConfig,
@@ -36,6 +37,7 @@ from oracle import log_marginal_group, posterior_moments_k1
 from reference import (
     MixtureParams,
     allocation_log_probs,
+    array_sweep_gibbs,
     log_likelihood,
     log_prior,
     scalar_draw,
@@ -203,6 +205,32 @@ class TestRunGibbs:
         got["allocation_fallbacks"] = chain.allocation_fallbacks
         got["infinite_variances"] = int(np.isinf(chain.variances).sum())
         assert got == self.DEGENERATE_CRC32
+
+
+class TestSweepMatchesArrayReference:
+    """The float parameter step draws the bits of the array-form sweep.
+
+    At k >= 8 `np.sum` adds pairwise, so a left-to-right sum of the beta
+    rate moves the hierarchical chains there; `fixed:0.005,3` draws zero
+    variance gammas, whose variances are +inf.
+    """
+
+    @pytest.fixture(scope="class")
+    def galaxy(self):
+        return builtin_dataset("galaxy")
+
+    @pytest.mark.parametrize("thinning", [1, 3])
+    @pytest.mark.parametrize("prior", ["fixed:2,3", "rg", "fixed:0.005,3"])
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_bit_identical(self, galaxy, k, prior, thinning):
+        spec = parse_prior(prior, galaxy)
+        cfg = GibbsConfig(iterations=300, burn_in=100, thinning=thinning)
+        got = run_gibbs(galaxy, spec, k, cfg, rng=RngStream(7).substream(k, prior))
+        want = array_sweep_gibbs(galaxy, spec, k, cfg, rng=RngStream(7).substream(k, prior))
+        for name in ("weights", "means", "variances", "betas", "allocations"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert got.allocation_fallbacks == want.allocation_fallbacks
 
 
 class TestAllocationFallback:

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats as ss
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
@@ -312,6 +314,52 @@ class TestFullConditionals:
         assert blocks.beta.rate == pytest.approx(
             prior.beta_rate + float(np.sum(1.0 / params.variances))
         )
+
+
+class TestConditionalsOnFloats:
+    """`gibbs.run_gibbs` calls the conditionals on one component's Python
+    floats (counts as ints), `ConditioningSet` on arrays: each float result
+    has the bits of its element of the array call, overflow and NaN included."""
+
+    # every finite double, subnormals and values near the largest included
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    hyper = st.floats(1e-3, 1e3)
+    priors = st.one_of(
+        st.builds(FixedPrior, mean_loc=st.floats(-1e3, 1e3), mean_var=hyper,
+                  var_shape=hyper, var_scale=hyper),
+        st.builds(HierarchicalPrior, center=st.floats(-1e3, 1e3), spread=hyper,
+                  var_shape=hyper),
+    )
+    components = st.lists(
+        st.tuples(st.integers(0, 10**6), finite, finite, finite, positive),
+        min_size=1, max_size=6,
+    )
+
+    @staticmethod
+    def _columns(components):
+        counts, sums, sums_sq, means, variances = (np.array(c, dtype=float)
+                                                   for c in zip(*components))
+        return counts, sums, sums_sq, means, variances
+
+    @given(priors, components, positive)
+    def test_variance_conditional(self, prior, components, beta):
+        beta = beta if prior.hierarchical else None
+        counts, sums, sums_sq, means, _ = self._columns(components)
+        with np.errstate(all="ignore"):
+            shape, scale = variance_conditional(prior, counts, sums, sums_sq, means, beta)
+        for i, (c, s, ss_, m, _) in enumerate(components):
+            got = variance_conditional(prior, c, s, ss_, m, beta)
+            assert_same_bits(got, (shape[i], scale[i]))
+
+    @given(priors, components)
+    def test_mean_conditional(self, prior, components):
+        counts, sums, _, _, variances = self._columns(components)
+        with np.errstate(all="ignore"):
+            mean, var = mean_conditional(prior, counts, sums, variances)
+        for i, (c, s, _, _, v) in enumerate(components):
+            got = mean_conditional(prior, c, s, v)
+            assert_same_bits(got, (mean[i], var[i]))
 
 
 class TestBlockDensity:
