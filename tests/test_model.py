@@ -338,9 +338,7 @@ class TestConditionalsOnFloats:
 
     @staticmethod
     def _columns(components):
-        counts, sums, sums_sq, means, variances = (np.array(c, dtype=float)
-                                                   for c in zip(*components))
-        return counts, sums, sums_sq, means, variances
+        return [np.array(column, dtype=float) for column in zip(*components)]
 
     @given(priors, components, positive)
     def test_variance_conditional(self, prior, components, beta):
