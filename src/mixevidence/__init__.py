@@ -27,6 +27,7 @@ from .model import (
     PriorSpec,
 )
 from .gibbs import (
+    DegenerateStateError,
     GibbsChain,
     GibbsConfig,
     permute_chain,

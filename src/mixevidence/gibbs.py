@@ -53,9 +53,10 @@ from .model import (
     mean_conditional,
     variance_conditional,
 )
-from .numerics import LOG_2PI, as_generator, permutation_rows
+from .numerics import as_generator, normal_logpdf_into, permutation_rows
 
 __all__ = [
+    "DegenerateStateError",
     "GibbsConfig",
     "GibbsChain",
     "run_gibbs",
@@ -128,22 +129,19 @@ def _init_allocation(x: np.ndarray, k: int) -> np.ndarray:
     return z
 
 
-def _sample_allocation(xc, weights, means, variances, gen):
+def _sample_allocation(xc, weights, means, variances, gen, logits):
     """Gumbel-max categorical draws from the allocation conditionals.
 
-    `xc` is the data as an (n, 1) column.  The logits are
-    log w + log N(x; mu, v), written from (k,) vectors with the operations
-    of `numerics.normal_logpdf` in its order, and built in place.  A row
-    with no finite logit falls back to a one-hot at the nearest mean.
+    `xc` is the data as an (n, 1) column, and `logits` an (n, k) buffer
+    that the step overwrites with log w + log N(x; mu, v):
+    `numerics.normal_logpdf_into` writes the density into it from the (k,)
+    vectors, inside the one `errstate` of the step.  A row with no finite
+    logit falls back to a one-hot at the nearest mean.
     """
     with np.errstate(divide="ignore", over="ignore"):
         # a zero weight gives log 0 = -inf, and an overflowing (x - mu)^2 / v
         # (a subnormal variance) is +inf: both are the limits of the density
-        logits = xc - means
-        np.multiply(logits, logits, out=logits)
-        np.divide(logits, variances, out=logits)
-        np.add(logits, LOG_2PI + np.log(variances), out=logits)
-        np.multiply(logits, -0.5, out=logits)
+        normal_logpdf_into(logits, xc, means, variances)
         np.add(logits, np.log(weights), out=logits)
     n_fallback = 0
     if not np.isfinite(logits).all():
@@ -157,6 +155,10 @@ def _sample_allocation(xc, weights, means, variances, gen):
     return np.argmax(logits, axis=1), n_fallback
 
 
+class DegenerateStateError(ArithmeticError):
+    """Raised when a Gibbs sweep draws a state with no valid next conditional."""
+
+
 def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
               rng) -> GibbsChain:
     """Run the sampler; draws are deterministic given (data, prior, config, rng).
@@ -165,6 +167,11 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     scalar generator calls: on (k,) arrays numpy's per-call overhead costs
     more than the arithmetic.  Each float operation is the one the array
     code applies elementwise, so the draws have its bits.
+
+    A variance draw of 0, or one so small that its mean conditional's
+    precision or mean overflows, raises `DegenerateStateError`; an empty
+    component's tiny variance and the +inf variance of a zero gamma draw
+    leave a valid conditional and are kept.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -173,6 +180,7 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     n = x.size
     xc = x[:, None]
     x_sq = x * x
+    logits = np.empty((n, k))
 
     z = _init_allocation(x, k)
     counts = np.bincount(z, minlength=k).tolist()
@@ -194,7 +202,7 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     for sweep in range(config.iterations):
         if sweep > 0:
             z, n_bad = _sample_allocation(xc, np.array(weights), np.array(means),
-                                          np.array(variances), gen)
+                                          np.array(variances), gen, logits)
             total_fallbacks += n_bad
             counts = np.bincount(z, minlength=k).tolist()
             sums = np.bincount(z, weights=x, minlength=k).tolist()
@@ -217,7 +225,14 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
             variances.append(scale / g if g else scale * math.inf)
         means = []
         for c, s, v in zip(counts, sums, variances):
-            cond_mean, cond_var = mean_conditional(prior, c, s, v)
+            # a variance of 0, which the conditional divides by, or one so small
+            # that counts / v or sums / v overflows leaves no normal to draw from
+            cond_mean, cond_var = mean_conditional(prior, c, s, v) if v else (0.0, 0.0)
+            if not (cond_var > 0.0 and math.isfinite(cond_mean)):
+                raise DegenerateStateError(
+                    f"sweep {sweep}: the variance {v!r}, drawn for a component holding "
+                    f"{c} point(s), leaves its mean conditional no finite mean and "
+                    "positive variance")
             means.append(cond_mean + math.sqrt(cond_var) * gen.standard_normal())
         if prior.hierarchical:
             # an array, not floats: from eight terms on `np.sum` is not a

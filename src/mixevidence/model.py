@@ -82,6 +82,7 @@ from .numerics import (
     log_gamma,
     log_sum_exp_into,
     normal_logpdf,
+    normal_logpdf_into,
 )
 
 __all__ = [
@@ -156,24 +157,22 @@ class HierarchicalPrior:
     spread: float
     var_shape: float = 2.0
     beta_shape: float = 0.2
+    # set from `spread` at construction, since every mean and beta
+    # conditional of a sweep reads them; they take no part in equality
+    mean_var: float = field(init=False, repr=False, compare=False)
+    beta_rate: float = field(init=False, repr=False, compare=False)
 
     hierarchical = True
 
     def __post_init__(self):
         if not (self.spread > 0 and self.var_shape > 0 and self.beta_shape > 0):
             raise ValueError("prior hyperparameters must be strictly positive")
+        object.__setattr__(self, "mean_var", self.spread**2 / 4.0)
+        object.__setattr__(self, "beta_rate", 10.0 / self.spread**2)
 
     @property
     def mean_loc(self) -> float:
         return self.center
-
-    @property
-    def mean_var(self) -> float:
-        return self.spread**2 / 4.0
-
-    @property
-    def beta_rate(self) -> float:
-        return 10.0 / self.spread**2
 
     @classmethod
     def from_data(cls, data: Dataset, var_shape: float = 2.0, beta_shape: float = 0.2):
@@ -343,19 +342,23 @@ def _run_in_threads(work, buffers: list) -> None:
 
 def log_likelihood_batch(data: Dataset, batch: ParamsBatch) -> np.ndarray:
     """Vectorized log p(x | theta) = sum_j log sum_i w_i N(x_j; mu_i, var_i) over
-    a batch, in blocks of KERNEL_BUDGET (state, component, point) terms."""
+    a batch, in blocks of KERNEL_BUDGET (state, component, point) terms.
+
+    Every block is computed in one (state, component, point) buffer, which
+    the density and the reduce over components overwrite in place."""
     x = data.observations
     out = np.empty(batch.size)
-    with np.errstate(divide="ignore"):
-        logw = np.log(batch.weights)
     edges = _chunk_edges(batch.size, KERNEL_BUDGET // (batch.k * x.size))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        comp = logw[lo:hi, :, None] + normal_logpdf(
-            x[None, None, :],
-            batch.means[lo:hi, :, None],
-            batch.variances[lo:hi, :, None],
-        )
-        out[lo:hi] = np.sum(log_sum_exp_into(comp, axis=1), axis=1)
+    buffer = np.empty((max(np.diff(edges), default=0), batch.k, x.size))
+    with np.errstate(divide="ignore"):
+        logw = np.log(batch.weights)[:, :, None]
+    # a subnormal variance overflows (x - mu)^2 / v to +inf, the density's limit
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            comp = normal_logpdf_into(buffer[:hi - lo], x, batch.means[lo:hi, :, None],
+                                      batch.variances[lo:hi, :, None])
+            comp += logw[lo:hi]
+            out[lo:hi] = np.sum(log_sum_exp_into(comp, axis=1), axis=1)
     return out
 
 

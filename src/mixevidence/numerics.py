@@ -11,7 +11,13 @@ subnormal, which far-away draws of the block-density kernel hit by the
 million (results below e^-708 are subnormal and cost about 100 times a
 normal one).  The log-density kernels are exact and
 normalized, since the evidence identities this package implements
-require normalized conditionals.  A label permutation is a (k,) gather
+require normalized conditionals.  Two come in an in-place pair, as hot
+loops need them: `log_sum_exp_into` and `normal_logpdf_into` write into
+the caller's buffer, and `log_sum_exp` and `normal_logpdf` are their
+allocating wrappers.  `normal_logpdf_into` is the one place the normal
+log-density is written; the Gibbs allocation step, the likelihood and the
+prior all call it (the block-density kernel alone folds the normal factor
+into its closed form).  A label permutation is a (k,) gather
 row.  `permutation_rows` decodes rows of the lexicographic order of S_k
 from their indices, so only `permutation_matrix`, which lists all k! of
 them, is bounded by the enumeration cap.  log Gamma, for the normalising
@@ -136,10 +142,32 @@ def log_gamma(x):
 # ---------------------------------------------------------------------------
 
 def normal_logpdf(x, mean, var):
+    """log N(x; mean, var), broadcast over the three inputs: a float array, or
+    a numpy float when all three are scalars."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(mean), np.shape(var)))
     # a subnormal variance overflows (x - mean)^2 / var to inf where x != mean,
     # and the density's limit there is 0
     with np.errstate(over="ignore"):
-        return -0.5 * (LOG_2PI + np.log(var) + (np.asarray(x, float) - mean) ** 2 / var)
+        normal_logpdf_into(out, x, mean, var)
+    return out[()]
+
+
+def normal_logpdf_into(out: np.ndarray, x, mean, var) -> np.ndarray:
+    """`normal_logpdf` written into the float array `out`, which must have the
+    broadcast shape of the inputs; returns `out`.
+
+    It takes no temporary of the size of `out`, only log(var) in the shape
+    of `var`, and it enters no `np.errstate`: a subnormal variance overflows
+    (x - mean)^2 / var to +inf, whose warning the caller silences once for
+    its whole step (entering an `errstate` costs about a microsecond).  An
+    infinite variance gives -inf, the density's limit.
+    """
+    np.subtract(x, mean, out=out)
+    np.multiply(out, out, out=out)
+    np.divide(out, var, out=out)
+    out += LOG_2PI + np.log(var)
+    out *= -0.5
+    return out
 
 
 def inverse_gamma_logpdf(x, shape, scale):

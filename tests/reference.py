@@ -585,7 +585,8 @@ def array_sweep_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConf
     out = 0
     for sweep in range(config.iterations):
         if sweep > 0:
-            z, n_bad = _sample_allocation(xc, weights, means, variances, gen)
+            z, n_bad = _sample_allocation(xc, weights, means, variances, gen,
+                                          np.empty((n, k)))
             total_fallbacks += n_bad
             counts = np.bincount(z, minlength=k).astype(float)
             sums = np.bincount(z, weights=x, minlength=k)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mixevidence.datasets import builtin_dataset
 from mixevidence.estimators import (
     DEFAULT_TAU,
     EstimationFailureError,
@@ -535,6 +536,46 @@ class TestChib:
         with pytest.raises(ValueError):
             chib(tiny_two_group_data_module, fixed_prior_module, tiny_chain, pivot,
                  "bogus")
+
+
+class TestLabelSymmetry:
+    """Both estimator halves that sum over S_k are label-invariant: Chib's
+    permutation-averaged ordinate and the symmetrized proposal's log q do not
+    depend on how the conditioning draws are labelled.  D2 at n = 40, whose
+    chains switch labels, under both priors."""
+
+    RELABELLINGS = 4
+
+    @pytest.fixture(scope="class", params=["fixed", "rg"])
+    def case(self, request):
+        data = builtin_dataset("d2", n=40, rng=RngStream(5))
+        prior = (FixedPrior(var_shape=2.0, var_scale=15.0) if request.param == "fixed"
+                 else HierarchicalPrior.from_data(data))
+        chain = run_gibbs(data, prior, 3, GibbsConfig(iterations=1_000, burn_in=200),
+                          rng=RngStream(61).substream(request.param))
+        return data, prior, chain, select_pivot(chain, data, prior)
+
+    def test_chib_permutation_averaged(self, case):
+        data, prior, chain, pivot = case
+        base = chib(data, prior, chain, pivot, mode="permutation_averaged").log_evidence
+        for seed in range(self.RELABELLINGS):
+            relabelled = permute_chain(chain, RngStream(62).substream(seed))
+            got = chib(data, prior, relabelled, pivot, mode="permutation_averaged").log_evidence
+            assert abs(got - base) <= 1e-12 * abs(base)
+
+    def test_dual_proposal_log_q(self, case):
+        data, prior, chain, pivot = case
+        pooled = relabel_chain(chain, pivot)[::8]
+        # J = the whole pool takes every draw, in order
+        prop = build_dual_proposal(pooled, data, prior, J=len(pooled), rng=0)
+        particles = prop.sample(500, RngStream(63))
+        base = prop.log_q(particles)
+        assert np.all(np.isfinite(base))
+        for seed in range(self.RELABELLINGS):
+            relabelled = permute_chain(pooled, RngStream(64).substream(seed))
+            other = build_dual_proposal(relabelled, data, prior, J=len(pooled), rng=0)
+            # absolute nats: log q passes near 0, where a relative error is meaningless
+            np.testing.assert_allclose(other.log_q(particles), base, rtol=0, atol=1e-10)
 
 
 class TestBridge:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import mixevidence
 from mixevidence import model
 from mixevidence.datasets import builtin_dataset
 from mixevidence.gibbs import (
@@ -245,6 +246,7 @@ class TestAllocationFallback:
         # one component ruled out in every row, the other finite
         "one_subnormal_variance": ([0.5, 0.5], [1e-320, 1.0], False),
         "one_zero_weight": ([0.0, 1.0], [1.0, 1.0], False),
+        "one_infinite_variance": ([0.5, 0.5], [np.inf, 1.0], False),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -255,12 +257,52 @@ class TestAllocationFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             z, n_fallback = _sample_allocation(x[:, None], params.weights, params.means,
-                                               params.variances, np.random.default_rng(0))
+                                               params.variances, np.random.default_rng(0),
+                                               np.empty((x.size, 2)))
             log_probs, expected_fallbacks = allocation_log_probs(small_normal_data, params)
         assert n_fallback == expected_fallbacks == (x.size if falls_back else 0)
         # each row has one label of probability 1, which the draw must take
         np.testing.assert_array_equal(np.isfinite(log_probs).sum(axis=1), 1)
         np.testing.assert_array_equal(z, np.argmax(log_probs, axis=1))
+
+
+class TestDegenerateVariance:
+    """A variance draw whose mean conditional breaks down raises a typed error;
+    the tiny and infinite variances that leave it valid are kept."""
+
+    @pytest.fixture(scope="class")
+    def galaxy(self):
+        return builtin_dataset("galaxy")
+
+    # a subnormal variance of an occupied component made the precision counts / v
+    # inf and stored the mean inf / inf = NaN (200 of 2000 means); a variance of
+    # 0 raised a bare ZeroDivisionError from counts / v
+    @pytest.mark.parametrize("var_scale", [1e-320, 5e-324])
+    def test_occupied_collapse_raises(self, galaxy, var_scale):
+        prior = model.FixedPrior(var_shape=2.0, var_scale=var_scale)
+        with pytest.raises(mixevidence.DegenerateStateError, match="sweep 17: the variance"):
+            run_gibbs(galaxy, prior, 10, GibbsConfig(iterations=300, burn_in=100), rng=3)
+
+    def test_empty_component_keeps_a_subnormal_variance(self):
+        data = builtin_dataset("d1")
+        prior = model.FixedPrior(var_shape=2.0, var_scale=1e-320)
+        chain = run_gibbs(data, prior, 3, GibbsConfig(iterations=300, burn_in=100), rng=1)
+        subnormal = (chain.variances > 0) & (chain.variances < np.finfo(float).tiny)
+        counts = np.stack([np.bincount(z, minlength=3) for z in chain.allocations])
+        assert subnormal.sum() == 200
+        assert np.all(counts[subnormal] == 0)
+        assert np.all(np.isfinite(chain.means)) and chain.allocation_fallbacks == 0
+
+    def test_zero_gammas_keep_infinite_variances(self):
+        cfg = ExperimentConfig(dataset="d1", k=3, prior="fixed:0.005,3", estimators=(),
+                               iterations=600, burn_in=100, seed=201)
+        data = resolve_dataset(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            chain = run_gibbs(data, parse_prior(cfg.prior, data), cfg.k, cfg.gibbs_config(),
+                              rng=RngStream(cfg.seed).substream("replicate", 0, "gibbs"))
+        assert np.isinf(chain.variances).any()
+        assert np.all(np.isfinite(chain.means))
 
 
 class TestPermutationStep:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import warnings
@@ -181,6 +182,19 @@ class TestLikelihood:
         assert np.isneginf(logprior[0])
 
 
+    @pytest.mark.parametrize("weight,variance", [(0.0, 1.0), (0.5, np.inf)])
+    def test_dropped_component_takes_the_limit(self, small_normal_data, weight, variance):
+        """A zero weight or an infinite variance gives the component density 0 at
+        every point, without a warning."""
+        x = small_normal_data.observations
+        batch = ParamsBatch([[weight, 1.0 - weight]], [[-0.25, 0.5]], [[variance, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loglik = log_likelihood_batch(small_normal_data, batch)
+        expected = np.sum(math.log(1.0 - weight) + normal_logpdf(x, 0.5, 1.0))
+        np.testing.assert_allclose(loglik, expected, rtol=1e-12)
+
+
 class TestPrior:
     def test_exchangeability_exact(self, fixed_prior):
         params = random_params(3, 7)
@@ -227,6 +241,21 @@ class TestPrior:
             + log_pdf(beta_prior(prior), params.beta)
         )
         assert log_prior(params, prior) == pytest.approx(manual)
+
+    def test_hierarchical_constants_set_once(self):
+        """`mean_var` and `beta_rate` are stored at construction with the bits of
+        their formulas, and leave equality, hashing and repr to the four fields."""
+        prior = HierarchicalPrior(center=1.5, spread=7.3, var_shape=2.5, beta_shape=0.3)
+        assert prior.mean_var == 7.3**2 / 4.0 and prior.beta_rate == 10.0 / 7.3**2
+        assert "mean_var" in vars(prior) and "beta_rate" in vars(prior)
+        assert repr(prior) == ("HierarchicalPrior(center=1.5, spread=7.3, var_shape=2.5, "
+                               "beta_shape=0.3)")
+        twin = HierarchicalPrior(1.5, 7.3, 2.5, 0.3)
+        assert prior == twin and hash(prior) == hash(twin)
+        moved = dataclasses.replace(prior, spread=2.0)
+        assert (moved.mean_var, moved.beta_rate) == (1.0, 2.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prior.mean_var = 1.0
 
     def test_batch_matches_scalar(self, small_normal_data):
         prior = HierarchicalPrior.from_data(small_normal_data)

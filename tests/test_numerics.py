@@ -19,6 +19,8 @@ from mixevidence.numerics import (
     log_gamma,
     log_sum_exp,
     log_sum_exp_into,
+    normal_logpdf,
+    normal_logpdf_into,
     permutation_matrix,
     permutation_rows,
 )
@@ -129,6 +131,52 @@ class TestExpFloor:
                 "strided": lambda: base.copy()[::2, 1:, ::3]}[layout]
         assert make().flags.c_contiguous == (layout == "C")
         assert_floor_keeps_bits(make, axis)
+
+
+class TestNormalLogpdfInto:
+    """`normal_logpdf_into` is the package's one normal log-density, and
+    `normal_logpdf` its allocating wrapper.  scipy's `norm.logpdf` is a
+    check written apart from the formula, which `reference` shares."""
+
+    # (x, mean, var) shapes: the Gibbs logits' (n, 1) column against (k,)
+    # vectors, the likelihood's (B, k, 1) states against (n,) points, scalars
+    LAYOUTS = {
+        "column_by_components": ((60, 1), (4,), (4,)),
+        "states_by_points": ((50,), (7, 4, 1), (7, 4, 1)),
+        "scalars": ((), (), ()),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_wrapper_bits_and_scipy(self, layout):
+        x_shape, mean_shape, var_shape = self.LAYOUTS[layout]
+        rng = np.random.default_rng(17)
+        x = rng.normal(0.0, 3.0, x_shape)
+        mean = rng.normal(0.0, 3.0, mean_shape)
+        var = rng.gamma(2.0, 1.0, var_shape) + 0.2  # log 2 pi v > 0: |log N| stays away from 0
+        if layout == "scalars":
+            x, mean, var = float(x), float(mean), float(var)
+        out = np.full(np.broadcast_shapes(x_shape, mean_shape, var_shape), np.nan)
+        assert normal_logpdf_into(out, x, mean, var) is out
+        wrapped = normal_logpdf(x, mean, var)
+        assert np.shape(wrapped) == out.shape
+        assert isinstance(wrapped, np.floating if layout == "scalars" else np.ndarray)
+        assert_same_bits(out, wrapped)
+        np.testing.assert_allclose(out, ss.norm.logpdf(x, mean, np.sqrt(var)), rtol=1e-13, atol=0)
+
+    def test_limits_without_warnings(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            subnormal = normal_logpdf(x, 0.5, 1e-320)
+            infinite = normal_logpdf(x, 0.5, np.inf)
+        # a collapsed variance has density 0 off its mean and a finite log-density on it
+        assert np.isneginf(subnormal[[0, 2]]).all()
+        assert subnormal[1] == pytest.approx(-0.5 * (math.log(2 * math.pi) + math.log(1e-320)))
+        assert np.isneginf(infinite).all()
+
+    def test_into_leaves_the_errstate_to_its_caller(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            normal_logpdf_into(np.empty(3), [-1.0, 0.5, 2.0], 0.5, 1e-320)
 
 
 class TestPermutations:
