@@ -20,8 +20,23 @@ order:
 
 The first sweep starts from the quantile allocation and draws no `gumbel`
 values.  How the values are drawn is free (the allocations take one (n, k)
-call, the parameters one scalar call per value), but a change of the values,
-their order or the arithmetic on them changes every chain.
+call, the parameters one scalar call per value), but a change of the values
+or their order changes every chain, and so does a change of the parameter
+step's arithmetic.  The allocation step's arithmetic may change only within
+the rounding of its log-odds, as its two forms below do.
+
+The allocation step has two forms that add the same `gumbel` values to the
+same log-odds.  For a regular state, log w + log N(x; mu, v) is, up to a
+constant per point, a quadratic a + b x~ + c x~^2 in the point's offset
+x~ = x - centre from the midpoint of the data range:
+`model.allocation_conditional` gives each component's (a, b, c) after its
+mean draw, and the next sweep's logits are one (n, 3) by (3, k) matrix
+product.  A state with a zero weight, a variance that is not a finite normal
+float, or a component whose (max|x~| + |mu~|)^2 / v exceeds
+`QUADRATIC_BOUND` takes the exact step, `_sample_allocation`, which alone
+handles degenerate states and counts the fallbacks.  The two forms differ
+by rounding below about 1e-9 nats, so an allocation can differ between them
+only where two Gumbel-perturbed logits tie that closely.
 
 The stored draws are a `GibbsChain`, a `model.ParamsBatch` that also holds
 each draw's allocations.  They are relabelled only afterwards, each by a
@@ -38,6 +53,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import zlib
 from dataclasses import dataclass, replace
 
@@ -48,6 +64,7 @@ from .model import (
     Dataset,
     ParamsBatch,
     PriorSpec,
+    allocation_conditional,
     beta_conditional,
     log_posterior_batch,
     mean_conditional,
@@ -155,6 +172,25 @@ def _sample_allocation(xc, weights, means, variances, gen, logits):
     return np.argmax(logits, axis=1), n_fallback
 
 
+# A state takes the quadratic allocation step only if every component's
+# (max|x~| + |mu~|)^2 / v is at most this.  The expanded form's terms are then
+# below it in magnitude, so their rounding stays below about 1e-9 nats; the
+# benchmark chains reach about 8.7e3.
+QUADRATIC_BOUND = 2.0 ** 20
+
+
+def _quadratic_row(weight, mean, variance, centre, radius):
+    """`model.allocation_conditional` of one component, or None if the
+    component sends its state to the exact step: a zero weight, a variance
+    that is not a finite normal float, or one below the bound's reach."""
+    if not (weight > 0.0 and sys.float_info.min <= variance < math.inf):
+        return None
+    reach = radius + abs(mean - centre)
+    if not reach * reach / variance <= QUADRATIC_BOUND:
+        return None
+    return allocation_conditional(weight, mean, variance, centre)
+
+
 class DegenerateStateError(ArithmeticError):
     """Raised when a Gibbs sweep draws a state with no valid next conditional."""
 
@@ -166,7 +202,9 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     The parameter step runs on Python floats, one component at a time, with
     scalar generator calls: on (k,) arrays numpy's per-call overhead costs
     more than the arithmetic.  Each float operation is the one the array
-    code applies elementwise, so the draws have its bits.
+    code applies elementwise, so the draws have its bits.  After each mean
+    draw it writes the component's row of the next allocation step, which
+    is then one matrix product (see the module docstring).
 
     A variance draw of 0, or one so small that its mean conditional's
     precision or mean overflows, raises `DegenerateStateError`; an empty
@@ -181,6 +219,12 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     xc = x[:, None]
     x_sq = x * x
     logits = np.empty((n, k))
+    # the columns [1, x~, x~^2] of the quadratic step, centred on the data range
+    centre = 0.5 * (float(x.min()) + float(x.max()))
+    x_centred = x - centre
+    radius = float(np.abs(x_centred).max())
+    powers = np.stack((np.ones(n), x_centred, x_centred * x_centred), axis=1)
+    coefficients = None
 
     z = _init_allocation(x, k)
     counts = np.bincount(z, minlength=k).tolist()
@@ -201,9 +245,14 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
     out = 0
     for sweep in range(config.iterations):
         if sweep > 0:
-            z, n_bad = _sample_allocation(xc, np.array(weights), np.array(means),
-                                          np.array(variances), gen, logits)
-            total_fallbacks += n_bad
+            if coefficients is None:
+                z, n_bad = _sample_allocation(xc, np.array(weights), np.array(means),
+                                              np.array(variances), gen, logits)
+                total_fallbacks += n_bad
+            else:
+                np.dot(powers, coefficients.T, out=logits)
+                logits += gen.gumbel(size=logits.shape)
+                z = logits.argmax(1)
             counts = np.bincount(z, minlength=k).tolist()
             sums = np.bincount(z, weights=x, minlength=k).tolist()
         sums_sq = np.bincount(z, weights=x_sq, minlength=k).tolist()
@@ -224,7 +273,8 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
             # a tiny shape draws exact zeros: scale * inf is numpy's scale / 0
             variances.append(scale / g if g else scale * math.inf)
         means = []
-        for c, s, v in zip(counts, sums, variances):
+        rows = []
+        for w, c, s, v in zip(weights, counts, sums, variances):
             # a variance of 0, which the conditional divides by, or one so small
             # that counts / v or sums / v overflows leaves no normal to draw from
             cond_mean, cond_var = mean_conditional(prior, c, s, v) if v else (0.0, 0.0)
@@ -233,7 +283,15 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
                     f"sweep {sweep}: the variance {v!r}, drawn for a component holding "
                     f"{c} point(s), leaves its mean conditional no finite mean and "
                     "positive variance")
-            means.append(cond_mean + math.sqrt(cond_var) * gen.standard_normal())
+            m = cond_mean + math.sqrt(cond_var) * gen.standard_normal()
+            means.append(m)
+            if rows is not None:
+                row = _quadratic_row(w, m, v, centre, radius)
+                if row is None:
+                    rows = None
+                else:
+                    rows.append(row)
+        coefficients = None if rows is None else np.array(rows)
         if prior.hierarchical:
             # an array, not floats: from eight terms on `np.sum` is not a
             # left-to-right sum

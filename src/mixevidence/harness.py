@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -201,9 +200,17 @@ def replicate_chains(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
 
 def run_replicate(config: ExperimentConfig, data: Dataset, prior: PriorSpec,
                   replicate: int) -> list[dict]:
-    """All requested estimators on one fresh chain; failures are recorded rows."""
-    stream, chain, permuted = replicate_chains(config, data, prior, replicate)
-    pivot = select_pivot(chain, data, prior)
+    """All requested estimators on one fresh chain; failures are recorded rows.
+
+    A chain or pivot that fails fails every estimator of the replicate: each
+    gets a row with the error.
+    """
+    try:
+        stream, chain, permuted = replicate_chains(config, data, prior, replicate)
+        pivot = select_pivot(chain, data, prior)
+    except Exception as exc:  # noqa: BLE001 - per-replicate isolation
+        return [{"replicate": replicate, "method": method, "error": f"{type(exc).__name__}: {exc}"}
+                for method in config.estimators]
 
     dual = None
 
@@ -301,6 +308,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     prior = parse_prior(config.prior, data)
     replicate = partial(run_replicate, config, data, prior)
     if config.threads > 1:
+        # imported here, since a serial run has no use for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # the worker processes share the CPUs, so each kernel gets its share
         kernel_threads = max(1, model.KERNEL_THREADS // config.threads)
         with ProcessPoolExecutor(max_workers=config.threads, initializer=_set_kernel_threads,

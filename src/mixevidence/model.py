@@ -22,7 +22,10 @@ conditions on: each factor's parameters are gathered per particle and drawn
 with one generator call.  `variance_conditional` and `mean_conditional`
 take Python floats or arrays, with the same bits either way: the sweep
 calls them on one component's floats and `ConditioningSet` on arrays.
-`beta_conditional` sums over the last axis of an array.
+`beta_conditional` sums over the last axis of an array.  The sweep's
+allocation step has its own conditional: `allocation_conditional` writes one
+component's log w + log N(x; mu, v) as a quadratic in the centred point, on
+Python floats only, for a state whose weights and variances are regular.
 
 The block density factorises over components: under a label permutation
 sigma, batch component i only meets draw component sigma(i).  One element
@@ -92,6 +95,7 @@ __all__ = [
     "PriorSpec",
     "variance_conditional",
     "mean_conditional",
+    "allocation_conditional",
     "beta_conditional",
     "ParamsBatch",
     "ConditioningSet",
@@ -210,6 +214,22 @@ def mean_conditional(prior: PriorSpec, counts, sums, variances):
     prec = 1.0 / prior.mean_var + counts / variances
     mean = (prior.mean_loc / prior.mean_var + sums / variances) / prec
     return mean, 1.0 / prec
+
+
+def allocation_conditional(weight: float, mean: float, variance: float, centre: float):
+    """Coefficients (a, b, c) of one component's allocation log-odds as a
+    quadratic in the centred point x~ = x - centre:
+
+        log w + log N(x; mu, v) + LOG_2PI / 2 = a + b x~ + c x~^2.
+
+    Python floats only; the weight and variance must be positive and finite.
+    The LOG_2PI / 2 is shared by every component, so a categorical draw over
+    the components does not need it.
+    """
+    shifted = mean - centre
+    precision = 1.0 / variance
+    return (math.log(weight) - 0.5 * math.log(variance) - 0.5 * (shifted * shifted) * precision,
+            shifted * precision, -0.5 * precision)
 
 
 def beta_conditional(prior: HierarchicalPrior, variances):

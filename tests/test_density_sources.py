@@ -1,11 +1,15 @@
 """The normal log-density is written once, in `numerics.normal_logpdf_into`.
 
 The Gibbs allocation step and the batched likelihood both weigh points by
-w_i N(x_j; mu_i, v_i), and both write the density into their own buffers
-through the in-place routine; the prior calls its wrapper, `normal_logpdf`.
-A module that imported `LOG_2PI` to spell the formula out again would hold a
-second copy, free to drift from the one the estimators' targets use.  The
-block-density kernel alone folds the normal factor into its closed form.
+w_i N(x_j; mu_i, v_i).  The likelihood and the allocation step's exact form,
+`gibbs._sample_allocation`, write the density into their own buffers through
+the in-place routine; the prior calls its wrapper, `normal_logpdf`.  The
+quadratic form that regular states take instead comes from
+`model.allocation_conditional`, and leaves out the LOG_2PI / 2 that every
+component shares, so it needs no `LOG_2PI` either.  A module that imported
+`LOG_2PI` to spell the formula out again would hold a second copy, free to
+drift from the one the estimators' targets use.  The block-density kernel
+alone folds the normal factor into its closed form.
 """
 
 import ast

@@ -6,14 +6,18 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import mixevidence
-from mixevidence import model
+from mixevidence import gibbs, model
 from mixevidence.datasets import builtin_dataset
 from mixevidence.gibbs import (
+    QUADRATIC_BOUND,
     GibbsChain,
     GibbsConfig,
+    _quadratic_row,
     _sample_allocation,
     chain_mean_stderr,
     export_chain_csv,
@@ -25,12 +29,19 @@ from mixevidence.gibbs import (
 )
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset
 from mixevidence.model import (
+    Dataset,
     HierarchicalPrior,
     ParamsBatch,
     log_likelihood_batch,
     log_posterior_batch,
 )
-from mixevidence.numerics import RngStream, permutation_matrix, permutation_rows
+from mixevidence.numerics import (
+    LOG_2PI,
+    RngStream,
+    normal_logpdf,
+    permutation_matrix,
+    permutation_rows,
+)
 from mixevidence.relabel import relabel_chain
 
 from conftest import traced_peak
@@ -232,6 +243,119 @@ class TestSweepMatchesArrayReference:
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
         assert got.allocation_fallbacks == want.allocation_fallbacks
+
+    @pytest.mark.parametrize("prior", ["fixed:2,3", "rg"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_shifted_data_bit_identical(self, k, prior):
+        """D1 moved by +1e4: the quadratic step centres the points on their
+        range, so its logits keep their precision; under the fixed prior the
+        means of empty components sit near 0, out of the bound's reach, and
+        those states take the exact step."""
+        d1 = builtin_dataset("d1")
+        data = Dataset(d1.observations + 1e4, name="d1+1e4")
+        spec = parse_prior(prior, data)
+        cfg = GibbsConfig(iterations=1000, burn_in=100)
+        got = run_gibbs(data, spec, k, cfg, rng=RngStream(7).substream(k, prior))
+        want = array_sweep_gibbs(data, spec, k, cfg, rng=RngStream(7).substream(k, prior))
+        for name in ("weights", "means", "variances", "betas", "allocations"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert got.allocation_fallbacks == want.allocation_fallbacks
+
+
+def _count_exact_steps(monkeypatch) -> list:
+    """Count the sweeps that take `_sample_allocation`: one entry per call."""
+    entered = []
+    exact = gibbs._sample_allocation
+
+    def counted(*args):
+        entered.append(None)
+        return exact(*args)
+
+    monkeypatch.setattr(gibbs, "_sample_allocation", counted)
+    return entered
+
+
+class TestQuadraticAllocation:
+    """The quadratic allocation step: its coefficients, its gate, and the
+    chains it draws."""
+
+    @given(x=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=50),
+           shift=st.sampled_from([0.0, 1e4]), hierarchical=st.booleans(),
+           k=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_coefficients_match_the_density(self, x, shift, hierarchical, k, seed):
+        """On every regular component of a chain's states, a + b x~ + c x~^2
+        is log w + log N(x; mu, v) + LOG_2PI / 2 within 1e-9 nats."""
+        data = Dataset(np.array(x) + shift)
+        assume(not hierarchical or np.ptp(data.observations) > 0)  # its spread must be > 0
+        prior = (HierarchicalPrior.from_data(data) if hierarchical
+                 else model.FixedPrior(var_shape=2.0, var_scale=3.0))
+        chain = run_gibbs(data, prior, k, GibbsConfig(iterations=20, burn_in=10), rng=seed)
+        obs = data.observations
+        centre = 0.5 * (float(obs.min()) + float(obs.max()))
+        x_centred = obs - centre
+        radius = float(np.abs(x_centred).max())
+        for w, m, v in zip(chain.weights.ravel().tolist(), chain.means.ravel().tolist(),
+                           chain.variances.ravel().tolist()):
+            row = _quadratic_row(w, m, v, centre, radius)
+            if row is None:
+                continue
+            a, b, c = row
+            exact = math.log(w) + normal_logpdf(obs, m, v) + 0.5 * LOG_2PI
+            np.testing.assert_allclose(a + b * x_centred + c * (x_centred * x_centred), exact,
+                                       rtol=0, atol=1e-9)
+
+    # weight, variance of a component with mean 0.5, on points within 1 of 0
+    GATE_CASES = {
+        "zero_weight": (0.0, 1.0),
+        "subnormal_variance": (0.5, 1e-320),
+        "infinite_variance": (0.5, math.inf),
+        "variance_below_the_bound": (0.5, 2.25 / QUADRATIC_BOUND / 1.01),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_gate_sends_to_the_exact_step(self, case):
+        weight, variance = self.GATE_CASES[case]
+        assert _quadratic_row(weight, 0.5, variance, 0.0, 1.0) is None
+
+    def test_gate_admits_the_bound(self):
+        variance = 2.25 / QUADRATIC_BOUND
+        assert (_quadratic_row(0.5, 0.5, variance, 0.0, 1.0)
+                == model.allocation_conditional(0.5, 0.5, variance, 0.0))
+
+    @pytest.mark.parametrize("prior", ["fixed:2,1e-320", "fixed:0.005,3"])
+    def test_degenerate_chains_take_the_exact_step(self, monkeypatch, prior):
+        """Subnormal variances (empty components under a tiny scale) and the
+        infinite variances of zero gammas send their states to
+        `_sample_allocation`: the chain and its fallback count are the
+        array-form sweep's."""
+        data = builtin_dataset("d1")
+        spec = parse_prior(prior, data)
+        cfg = GibbsConfig(iterations=300, burn_in=100)
+        entered = _count_exact_steps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = run_gibbs(data, spec, 3, cfg, rng=1)
+            exact_steps = len(entered)
+            want = array_sweep_gibbs(data, spec, 3, cfg, rng=1)
+        assert 0 < exact_steps < cfg.iterations - 1
+        for name in ("weights", "means", "variances", "allocations"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.allocation_fallbacks == want.allocation_fallbacks
+
+    @pytest.mark.parametrize("name,k,prior", [("d1", 2, "fixed:2,3"), ("d2", 3, "fixed:2,15"),
+                                              ("galaxy", 4, "rg")])
+    def test_benchmark_chains_never_take_the_exact_step(self, monkeypatch, name, k, prior):
+        """Every sweep of the three benchmark configurations, at full length,
+        takes the quadratic step."""
+        def refuse(*args):
+            raise AssertionError("a benchmark chain took the exact allocation step")
+
+        monkeypatch.setattr(gibbs, "_sample_allocation", refuse)
+        cfg = ExperimentConfig(dataset=name, k=k, prior=prior, estimators=(), seed=201)
+        data = resolve_dataset(cfg)
+        run_gibbs(data, parse_prior(prior, data), k, cfg.gibbs_config(),
+                  rng=RngStream(cfg.seed).substream("replicate", 0, "gibbs"))
 
 
 class TestAllocationFallback:

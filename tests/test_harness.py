@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from pathlib import Path
@@ -190,6 +192,24 @@ class TestRunExperiment:
         assert not by_method["chib_kfact"]["error"]
         assert "log_evidence" in by_method["chib_kfact"]
 
+    def test_chain_failure_isolated(self):
+        """A replicate whose chain raises gets one error row per estimator;
+        the other replicates keep their rows."""
+        cfg = ExperimentConfig(dataset="galaxy", k=3, prior="fixed:2,1e-320",
+                               estimators=("chib_kfact", "chib_perm"), iterations=300,
+                               burn_in=100, replicates=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rec = run_experiment(cfg)
+        assert [(r["replicate"], r["method"]) for r in rec.rows] == [
+            (rep, m) for rep in range(3) for m in cfg.estimators]
+        for row in rec.rows[:4]:
+            assert row["error"].startswith("DegenerateStateError: sweep "), row
+            assert set(row) == {"replicate", "method", "error"}
+        for row in rec.rows[4:]:
+            assert row["error"] == "" and math.isfinite(row["log_evidence"]), row
+        assert rec.summary["errors"] == [{"method": m, "failures": 2} for m in cfg.estimators]
+
     def test_k9_fails_only_where_clusters_are_enumerated(self):
         config = _tiny_config(k=9, estimators=KNOWN_ESTIMATORS, J1=50, replicates=1)
         data = resolve_dataset(config)
@@ -310,24 +330,31 @@ def test_replicate_rows_pinned(workload):
 
 
 # Imports the package, its harness and its command line in a fresh process,
-# runs one replicate and prints its rows' errors and the scipy modules loaded.
+# runs one replicate and prints its rows' errors, the scipy modules loaded,
+# and the multiprocessing modules loaded by the import and by the end.
 IMPORT_FOOTPRINT = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
-import mixevidence, mixevidence.cli, mixevidence.harness
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+import mixevidence
+imported = loaded("multiprocessing")
+import mixevidence.cli, mixevidence.harness
 from mixevidence.harness import ExperimentConfig, parse_prior, resolve_dataset, run_replicate
 config = ExperimentConfig(**json.loads(sys.argv[2]))
 data = resolve_dataset(config)
 rows = run_replicate(config, data, parse_prior(config.prior, data), 0)
-print(json.dumps({"errors": [r["error"] for r in rows],
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"errors": [r["error"] for r in rows], "scipy": loaded("scipy"),
+                  "multiprocessing": [imported, loaded("multiprocessing")]}))
 """
 
 
 def test_no_scipy_module_in_a_replicate():
     """The package, and a replicate of all seven routes, the two that relabel
     (sym_is and sym_is_trunc) included, load no scipy module: log Gamma comes
-    from `math.lgamma` and the relabelling's assignment is solved in numpy."""
+    from `math.lgamma` and the relabelling's assignment is solved in numpy.
+    Neither `import mixevidence` nor a serial replicate loads multiprocessing,
+    which only `run_experiment`'s worker processes use."""
     fields = dict(PINNED_ROWS["galaxy_full"][0], **SMOKE_SIZES)
     src = Path(model.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT, str(src), json.dumps(fields)],
@@ -335,6 +362,7 @@ def test_no_scipy_module_in_a_replicate():
     result = json.loads(done.stdout)
     assert result["errors"] == [""] * len(KNOWN_ESTIMATORS)
     assert result["scipy"] == []
+    assert result["multiprocessing"] == [[], []]
 
 
 class TestRecordsAndSummaries:
