@@ -175,14 +175,15 @@ def _sample_allocation(xc, weights, means, variances, gen, logits):
 # A state takes the quadratic allocation step only if every component's
 # (max|x~| + |mu~|)^2 / v is at most this.  The expanded form's terms are then
 # below it in magnitude, so their rounding stays below about 1e-9 nats; the
-# benchmark chains reach about 8.7e3.
+# states of the benchmark chains stay below about 2e4.
 QUADRATIC_BOUND = 2.0 ** 20
 
 
 def _quadratic_row(weight, mean, variance, centre, radius):
     """`model.allocation_conditional` of one component, or None if the
     component sends its state to the exact step: a zero weight, a variance
-    that is not a finite normal float, or one below the bound's reach."""
+    that is not a finite normal float, or one so small that
+    (radius + |mean - centre|)^2 / variance exceeds `QUADRATIC_BOUND`."""
     if not (weight > 0.0 and sys.float_info.min <= variance < math.inf):
         return None
     reach = radius + abs(mean - centre)

@@ -219,6 +219,19 @@ class TestRunGibbs:
         assert got == self.DEGENERATE_CRC32
 
 
+def _count_exact_steps(monkeypatch) -> list:
+    """Count the sweeps that take `_sample_allocation`: one entry per call."""
+    entered = []
+    exact = gibbs._sample_allocation
+
+    def counted(*args):
+        entered.append(None)
+        return exact(*args)
+
+    monkeypatch.setattr(gibbs, "_sample_allocation", counted)
+    return entered
+
+
 class TestSweepMatchesArrayReference:
     """The float parameter step draws the bits of the array-form sweep.
 
@@ -246,34 +259,25 @@ class TestSweepMatchesArrayReference:
 
     @pytest.mark.parametrize("prior", ["fixed:2,3", "rg"])
     @pytest.mark.parametrize("k", [2, 3])
-    def test_shifted_data_bit_identical(self, k, prior):
+    def test_shifted_data_bit_identical(self, monkeypatch, k, prior):
         """D1 moved by +1e4: the quadratic step centres the points on their
-        range, so its logits keep their precision; under the fixed prior the
-        means of empty components sit near 0, out of the bound's reach, and
-        those states take the exact step."""
+        range, so its logits keep their precision and the data-located `rg`
+        chains take it on every sweep; under the fixed prior the means of
+        empty components sit near 0, out of the bound's reach, and those
+        states take the exact step."""
         d1 = builtin_dataset("d1")
         data = Dataset(d1.observations + 1e4, name="d1+1e4")
         spec = parse_prior(prior, data)
         cfg = GibbsConfig(iterations=1000, burn_in=100)
+        entered = _count_exact_steps(monkeypatch)
         got = run_gibbs(data, spec, k, cfg, rng=RngStream(7).substream(k, prior))
+        if prior == "rg":
+            assert entered == []
         want = array_sweep_gibbs(data, spec, k, cfg, rng=RngStream(7).substream(k, prior))
         for name in ("weights", "means", "variances", "betas", "allocations"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
         assert got.allocation_fallbacks == want.allocation_fallbacks
-
-
-def _count_exact_steps(monkeypatch) -> list:
-    """Count the sweeps that take `_sample_allocation`: one entry per call."""
-    entered = []
-    exact = gibbs._sample_allocation
-
-    def counted(*args):
-        entered.append(None)
-        return exact(*args)
-
-    monkeypatch.setattr(gibbs, "_sample_allocation", counted)
-    return entered
 
 
 class TestQuadraticAllocation:
