@@ -294,9 +294,7 @@ def run_gibbs(data: Dataset, prior: PriorSpec, k: int, config: GibbsConfig,
                     rows.append(row)
         coefficients = None if rows is None else np.array(rows)
         if prior.hierarchical:
-            # an array, not floats: from eight terms on `np.sum` is not a
-            # left-to-right sum
-            shape, rate = beta_conditional(prior, np.array(variances))
+            shape, rate = beta_conditional(prior, variances)
             beta = float(gen.gamma(shape, 1.0 / rate))
 
         if sweep >= config.burn_in and (sweep - config.burn_in) % config.thinning == 0:

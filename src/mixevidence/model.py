@@ -22,10 +22,11 @@ conditions on: each factor's parameters are gathered per particle and drawn
 with one generator call.  `variance_conditional` and `mean_conditional`
 take Python floats or arrays, with the same bits either way: the sweep
 calls them on one component's floats and `ConditioningSet` on arrays.
-`beta_conditional` sums over the last axis of an array.  The sweep's
-allocation step has its own conditional: `allocation_conditional` writes one
-component's log w + log N(x; mu, v) as a quadratic in the centred point, on
-Python floats only, for a state whose weights and variances are regular.
+`beta_conditional` takes an array or one state's list of floats, with the
+same bits either way.  The sweep's allocation step has its own conditional:
+`allocation_conditional` writes one component's log w + log N(x; mu, v) as
+a quadratic in the centred point, on Python floats only, for a state whose
+weights and variances are regular.
 
 The block density factorises over components: under a label permutation
 sigma, batch component i only meets draw component sigma(i).  One element
@@ -53,6 +54,29 @@ reduce floors the shifted values at `numerics.EXP_FLOOR` so that `np.exp`
 never makes a subnormal or underflowing result, which costs it 5 to 100
 times a normal one; no bit of the result changes.
 
+A call with a single permutation row (the randomly permuted mixture of
+`mixture_is` and `bridge`) screens its points first, because nearly all of a
+point's terms there lie tens to thousands of nats below its largest: on a
+galaxy replicate 97% of them lie more than 50 nats below.  Putting the
+largest count of each component over the draws in place of the draw's own
+makes every term's normal-mean factor larger, so the terms have an upper
+bound of two matrix products per point chunk (`ConditioningSet._screen`).
+The exact term at the best-bounded of every 16th draw is a floor on a
+point's largest, and only the draws whose bound lies within
+G = ln J + 60 ln 2 nats of that floor are evaluated and reduced; the mass
+left out is below 2**-60 of the point's sum, so the result is the dense
+kernel's within rounding.  A point whose bound is not finite (a zero or
+infinite variance, a NaN), or whose bound keeps more than 1/8 of those
+strided draws, takes the dense kernel.  So does every point of a call whose
+draws the screen would not repay: it must take half of 64 states at the
+modes of the draws' own conditionals, which it does on galaxy and not on
+D2, whose components overlap.  Every call with more rows and every call of
+`log_density_terms` is dense.  A point's value depends on the point and
+the conditioning set alone, on either path.  `evaluations`
+still counts every (point, draw, permutation) triple, bounded or
+evaluated: that is the paper's unit of work, whatever part of it the
+screen saves; `screened` counts the points the screen took.
+
 The point chunks of one kernel call are shared between `KERNEL_THREADS`
 threads, the calling thread among them; they pull chunks from one shared
 iterator and each writes only its own chunk's rows of the output, so the
@@ -77,6 +101,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .numerics import (
+    EXP_FLOOR,
     LOG_2PI,
     as_generator,
     dirichlet_logpdf,
@@ -234,9 +259,39 @@ def allocation_conditional(weight: float, mean: float, variance: float, centre: 
 
 def beta_conditional(prior: HierarchicalPrior, variances):
     """Shape and rate of the gamma conditional of the shared scale given the
-    fresh variances (components on the last axis)."""
-    rate = prior.beta_rate + np.sum(1.0 / variances, axis=-1)
-    return prior.beta_shape + prior.var_shape * np.shape(variances)[-1], rate
+    fresh variances: an array with the components on its last axis, or one
+    state's list of Python floats, whose reciprocals are added in the order
+    `np.sum` adds an array's (`_pairwise_sum`), so both give the same bits."""
+    if isinstance(variances, np.ndarray):
+        k, total = variances.shape[-1], np.sum(1.0 / variances, axis=-1)
+    else:
+        k, total = len(variances), _pairwise_sum([1.0 / v for v in variances])
+    return prior.beta_shape + prior.var_shape * k, prior.beta_rate + total
+
+
+def _pairwise_sum(values: list) -> float:
+    """The sum of Python floats in numpy's order for a contiguous float64
+    array: left to right below eight terms; from eight on, eight running sums
+    of every eighth term, added pairwise, then the rest left to right; above
+    128 terms, the two halves (the first a multiple of eight) apart."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    lanes = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        lanes = [lane + value for lane, value in zip(lanes, values[i:i + 8])]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5])
+                                                                + (lanes[6] + lanes[7]))
+    for value in values[end:]:
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +326,26 @@ KERNEL_BUDGET = 1 << 16
 # divides them between its replicate processes.
 KERNEL_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
+
+# The screen of single-row kernel calls (`ConditioningSet._screen`).  The
+# draws it drops lie more than ln J + SCREEN_BITS ln 2 nats below a point's
+# largest term, so together they carry less than 2**-60 of its sum, far
+# below the 2**-53 a sum of float64 rounds to.  Its bounds are rounded by
+# about (8k + 2) 2**-53 of the magnitude of their terms; SCREEN_SLACK covers
+# that many times over and still moves a bound by a tiny fraction of a nat.
+# A point whose bound on every SCREEN_STRIDE-th draw keeps more than
+# 1/SCREEN_SHARE of those draws takes the dense kernel: a kept term costs
+# about eight times a bounded one.
+SCREEN_BITS = 60
+SCREEN_SLACK = 2.0**-40
+SCREEN_STRIDE = 16
+SCREEN_SHARE = 8
+# A call screens its points only if the screen takes half of this many states
+# on its draws (`ConditioningSet._screen_pays`).
+SCREEN_PROBES = 64
+
+# OpenBLAS multiplies on the calling thread alone up to 4 * 65536 multiply-adds.
+SERIAL_PRODUCT = 1 << 18
 
 
 @dataclass
@@ -329,6 +404,18 @@ def _chunk_edges(size: int, step: int) -> list[int]:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     return edges
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """`np.matmul(a, b, out=out)` in blocks of two or more rows of a, each
+    with at most SERIAL_PRODUCT multiply-adds, which OpenBLAS runs on the
+    calling thread alone: a larger product wakes its own threads, which
+    compete with the kernel's for the CPUs.  A row's values do not depend
+    on the blocks."""
+    rows = SERIAL_PRODUCT // (b.shape[0] * b.shape[1])
+    edges = _chunk_edges(a.shape[0], rows)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
 
 
 def _sum_columns(values: np.ndarray) -> np.ndarray:
@@ -426,6 +513,9 @@ class ConditioningSet:
     ig_scale: np.ndarray    # (J, k)
     ig_const: np.ndarray    # (J,) permutation-invariant normalising constants
     evaluations: int = field(default=0, repr=False)
+    screened: int = field(default=0, repr=False)
+    # `_screen_pays` of each permutation row, by the row's bytes
+    _screen_decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def J(self) -> int:
@@ -506,15 +596,269 @@ class ConditioningSet:
         """(B, P) array of log[(1/J) sum_j pi(theta_b | sigma_p(draw_j), x)].
 
         `perms` is a (P, k) integer array of label permutations applied to
-        the conditioning draws.
+        the conditioning draws.  A call with one row screens its points
+        first (`_screen`); the points the screen leaves, and every point of
+        a call with more rows, take the dense kernel.
         """
-        log_J = math.log(self.J)
-        return self._per_permutation(batch, perms, (),
-                                     lambda terms: log_sum_exp_into(terms, axis=-1) - log_J)
+        perms = self._checked_perms(perms)
+        B, J = batch.size, self.J
+        log_J = math.log(J)
+
+        def dense(points):
+            return self._per_permutation(points, perms, (),
+                                         lambda terms: log_sum_exp_into(terms, axis=-1) - log_J)
+
+        # with fewer than SCREEN_SHARE strided draws, the floor's own draw alone
+        # is too large a share for the screen to take a point
+        if perms.shape[0] > 1 or len(range(0, J, SCREEN_STRIDE)) < SCREEN_SHARE:
+            out = dense(batch)
+        else:
+            out = np.empty((B, 1))
+            taken = np.zeros(B, dtype=bool)
+            if self._screen_pays(perms[0]):
+                taken = self._screen(batch, perms[0], out[:, 0])
+                self.screened += np.count_nonzero(taken)
+            left = np.flatnonzero(~taken)
+            if left.size == B > 1:
+                out = dense(batch)
+            elif left.size:
+                # a lone point goes twice, so that its products are not matrix-vector ones
+                out[left] = dense(batch[np.resize(left, max(2, left.size))])[:left.size]
+        self.evaluations += out.size * J
+        return out
 
     def log_density_terms(self, batch: ParamsBatch, perms: np.ndarray) -> np.ndarray:
         """(B, P, J) un-pooled log block densities (memory: B*P*J floats)."""
-        return self._per_permutation(batch, perms, (self.J,), lambda terms: terms)
+        perms = self._checked_perms(perms)
+        out = self._per_permutation(batch, perms, (self.J,), lambda terms: terms)
+        self.evaluations += out.size
+        return out
+
+    def _checked_perms(self, perms) -> np.ndarray:
+        perms = np.atleast_2d(np.asarray(perms, dtype=np.intp))
+        k = self.k
+        if perms.shape[0] < 1 or perms.shape[1] != k or np.any((perms < 0) | (perms >= k)):
+            raise ValueError(f"perms must be a non-empty (P, {k}) array of labels 0..{k - 1}")
+        return perms
+
+    def _screen_pays(self, perm: np.ndarray) -> bool:
+        """Whether the screen takes at least half of SCREEN_PROBES states that sit
+        on the draws, one for each of SCREEN_PROBES evenly spaced draws at the
+        modes of its block conditionals.
+
+        Every point the screen sees costs its strided bound whether the screen
+        takes it or not, and where the draws' components overlap, as on D2,
+        it takes a few points in a hundred and saves less than it costs.  The
+        probes depend on the draws alone, so a point's value still depends on
+        the point and the draws alone.  The answer is kept for the row.
+        """
+        key = perm.tobytes()
+        if key in self._screen_decisions:
+            return self._screen_decisions[key]
+        prior, k = self.prior, self.k
+        rows = np.arange(0, self.J, -(-self.J // SCREEN_PROBES))[:, None]
+        counts, sums = self.counts[rows, perm], self.sums[rows, perm]
+        variances = self.ig_scale[rows, perm] / (self.ig_shape[rows, perm] + 1.0)
+        means, _ = mean_conditional(prior, counts, sums, variances)
+        weights = (1.0 + counts) / (k + _sum_columns(counts))[:, None]
+        betas = None
+        if prior.hierarchical:
+            shape, rate = beta_conditional(prior, variances)
+            betas = np.maximum(shape - 1.0, 0.0) / rate
+        probes = ParamsBatch(weights, means, variances, betas)
+        taken = self._screen(probes, perm, np.empty(len(probes)))
+        self._screen_decisions[key] = 2 * np.count_nonzero(taken) >= taken.size
+        return self._screen_decisions[key]
+
+    def _screen(self, batch: ParamsBatch, perm: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write log[(1/J) sum_j pi(theta_b | perm(draw_j), x)] into `out` for
+        the points the screen takes, and return the (B,) flags of those points;
+        the others are left to the dense kernel.
+
+        Point b's term for draw j is L_bj + 1/2 sum_i (log D_ij - t_ij^2 / (v_i D_ij))
+        plus the terms every draw shares, as in `_per_permutation`.  With
+        the largest count nbar_i of each component over the draws in place of
+        n_ij, log D_ij <= log Dbar_i and t^2 / (v D_ij) >= t^2 / (v Dbar_i), and
+        t = n mu~ - s~ + v p0 mu~ is linear in (n, s~) for mu~ = mu - mu0 and
+        s~ = s - n mu0.  So every term has an upper bound of two matrix
+        products: L itself, and the point's quadratic coefficients against
+        the draw's [n^2; s~^2; n s~; n; s~; 1].  A rounding slack of
+        SCREEN_SLACK times the magnitude of the products' terms is added.
+
+        The exact term at the best-bounded of every SCREEN_STRIDE-th draw is
+        a floor on the point's largest term, so the draws whose bound lies
+        more than G = ln J + SCREEN_BITS ln 2 below it carry less than
+        2**-SCREEN_BITS of the point's sum together, and they are left out.
+        A point is left to the dense kernel when its bound is not finite, or
+        when more than 1/SCREEN_SHARE of the strided draws lie within G of
+        the floor: its screen would then cost more than the terms it saves.
+        The terms of the draws a point keeps are computed element by element
+        from the point's and the draws' gathered inputs, in the centred form
+        of t, and reduced over the draws in draw order, so a point's value
+        depends on the point and the draws alone.
+
+        Every matrix product has at least two rows and a multiple of eight
+        columns: OpenBLAS rounds the last columns of other widths, and the
+        row of a one-row product, with other kernels, so a point's bound
+        would depend on its chunk.  The points go in chunks whose strided
+        (points, J / SCREEN_STRIDE) bounds hold about KERNEL_BUDGET elements,
+        shared between the kernel's threads; the points a chunk keeps go on
+        in blocks whose (points, J) values of L and bounds each do, and a
+        block's kept terms in slices of KERNEL_BUDGET / 8k.  The calling
+        thread allocates the buffers; the arrays a worker thread allocates
+        stay small, because its malloc arena keeps their high-water mark.
+        """
+        prior, k, J, B = self.prior, self.k, self.J, batch.size
+        p0 = 1.0 / prior.mean_var
+        gap = math.log(J) + SCREEN_BITS * math.log(2.0)
+        # the right operands of L and of the quadratic bound, with zero columns
+        # up to a multiple of eight
+        right = np.zeros((8 * k + 2, -(-J // 8) * 8))
+        quad = right[3 * k + 1:8 * k + 1, :J].reshape(5, k, J)
+        counts, centred = quad[3], quad[4]
+        counts[...] = self.counts.T[perm]
+        np.subtract(self.sums.T[perm], counts * prior.mean_loc, out=centred)
+        np.multiply(counts, counts, out=quad[0])
+        np.multiply(centred, centred, out=quad[1])
+        np.multiply(counts, centred, out=quad[2])
+        right[8 * k + 1, :J] = 1.0
+        right[:k, :J] = counts
+        np.negative(self.ig_shape.T[perm] + 1.0, out=right[k:2 * k, :J])
+        np.negative(self.ig_scale.T[perm], out=right[2 * k:3 * k, :J])
+        right[3 * k, :J] = self.ig_const
+        draw_pieces = right[6 * k + 1:8 * k + 1, :J]                    # [n; s~]
+        magnitude = np.abs(right).max(axis=1)
+        n_bar = counts.max(axis=1)
+        stride = np.arange(0, J, SCREEN_STRIDE)
+        coarse = np.zeros((8 * k + 2, -(-stride.size // 8) * 8))
+        coarse[:, :stride.size] = right[:, stride]
+        taken = np.zeros(B, dtype=bool)
+        # a chunk's strided bounds are sized as if 256 draws wide at least: a
+        # larger chunk saves no time, and the per-point arrays a worker thread
+        # allocates for it would grow that thread's malloc arena for good; a
+        # smaller batch is split between the threads
+        step = max(2, min(KERNEL_BUDGET // max(coarse.shape[1], 256), -(-B // KERNEL_THREADS)))
+        edges = _chunk_edges(B, step)
+        chunks = iter(zip(edges[:-1], edges[1:]))
+        block = max(2, KERNEL_BUDGET // right.shape[1])
+        span = KERNEL_BUDGET // (8 * k)
+        lock = threading.Lock()
+
+        def next_chunk():
+            with lock:
+                return next(chunks, None)
+
+        def terms(lead, pieces, draws):
+            # the exact terms, without the shared ones, from L's values `lead`,
+            # the points' [mu~; p0 v; 1/v] (3k rows, overwritten) and the draws'
+            # [n; s~]: with D = p0 v + n, t = mu~ D - s~, and the pair factors
+            # log D - t^2 / (v D) are added in component order
+            shifted, d, inv_v = pieces.reshape(3, k, -1)
+            n, s = np.take(draw_pieces, draws, axis=1).reshape(2, k, -1)
+            d += n
+            shifted *= d
+            shifted -= s
+            np.square(shifted, out=shifted)
+            shifted /= d
+            shifted *= inv_v
+            np.log(d, out=d)
+            d -= shifted
+            total = d[0]
+            for pair in d[1:]:
+                total += pair
+            total *= 0.5
+            total += lead
+            return total
+
+        def screen(points, coefficients, threshold, best, pieces, shared, lead_buf, bound_buf):
+            # the (points, J) values of L and bounds
+            lead, bound = (buf[:points.size * right.shape[1]].reshape(points.size, -1)
+                           for buf in (lead_buf, bound_buf))
+            _serial_matmul(coefficients[:, :3 * k + 1], right[:3 * k + 1], lead)
+            _serial_matmul(coefficients[:, 3 * k + 1:], right[3 * k + 1:], bound)
+            bound += lead
+            survive = bound >= threshold[:, None]
+            survive[:, J:] = False
+            # the floor's own draw, whose bound is above it but for rounding
+            survive[np.arange(points.size), best] = True
+            # the flat indices of the kept (point, draw) pairs, point by point
+            kept = np.flatnonzero(survive)
+            offsets = np.arange(points.size + 1) * right.shape[1]
+            ends = np.searchsorted(kept, offsets)
+            starts, sizes = ends[:-1], ends[1:] - ends[:-1]
+            rows = np.repeat(np.arange(points.size), sizes)
+            values = lead.ravel()[kept]
+            # the terms go in slices of `span` pairs, whose gathered inputs stay small
+            for lo in range(0, kept.size, span):
+                at = slice(lo, lo + span)
+                values[at] = terms(values[at], np.take(pieces, rows[at], axis=1),
+                                   kept[at] - offsets[rows[at]])
+            top = np.maximum.reduceat(values, starts)
+            values -= np.repeat(top, sizes)
+            np.maximum(values, EXP_FLOOR, out=values)
+            np.exp(values, out=values)
+            total = np.add.reduceat(values, starts)
+            np.log(total, out=total)
+            total += top
+            total += shared
+            out[points] = total
+            taken[points] = True
+
+        def run_chunks(coefficient_buf, near_buf, lead_buf, bound_buf):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                while (chunk := next_chunk()) is not None:
+                    lo, hi = chunk
+                    points = np.arange(lo, hi) if hi - lo > 1 else np.array([lo, lo])
+                    part = batch[lo:hi] if hi - lo > 1 else batch[points]
+                    # each point's [log w | log v | 1/v | 1], the left operand
+                    # of L, then its coefficients of [n^2; s~^2; n s~; n; s~] in
+                    # -w t^2 and the sum over the pairs of 1/2 log Dbar - w u^2
+                    coefficients = coefficient_buf[:points.size * (8 * k + 2)].reshape(
+                        points.size, -1)
+                    shared = self._batch_pieces(part, coefficients[:, :3 * k + 1]) - math.log(J)
+                    var = part.variances                               # (points, k)
+                    shifted = part.means - prior.mean_loc
+                    d_bar = var * p0 + n_bar
+                    w = 0.5 / (var * d_bar)
+                    u = var * p0 * shifted
+                    quad = coefficients[:, 3 * k + 1:8 * k + 1].reshape(-1, 5, k)
+                    np.multiply(shifted * shifted, -w, out=quad[:, 0])
+                    np.negative(w, out=quad[:, 1])
+                    np.multiply(shifted, 2.0 * w, out=quad[:, 2])
+                    np.multiply(shifted * u, -2.0 * w, out=quad[:, 3])
+                    np.multiply(u, 2.0 * w, out=quad[:, 4])
+                    coefficients[:, 8 * k + 1] = _sum_columns(0.5 * np.log(d_bar) - w * u * u)
+                    size = np.abs(coefficients)
+                    size *= magnitude
+                    slack = _sum_columns(size) * SCREEN_SLACK
+                    pieces = np.concatenate([shifted.T, (var * p0).T, (1.0 / var).T])
+                    # the bounds on the strided draws, and the floor their best gives
+                    near = near_buf[:points.size * coarse.shape[1]].reshape(points.size, -1)
+                    _serial_matmul(coefficients, coarse, near)
+                    near = near[:, :stride.size]
+                    best = np.argmax(near, axis=1)
+                    finite = np.isfinite(near[np.arange(points.size), best])
+                    best = stride[best]
+                    lead = _sum_columns(coefficients[:, :3 * k + 1] * right[:3 * k + 1, best].T)
+                    threshold = terms(lead, pieces.copy(), best) - gap - slack
+                    keep = np.flatnonzero(
+                        finite & np.isfinite(threshold)
+                        & (SCREEN_SHARE * np.count_nonzero(near >= threshold[:, None], axis=1)
+                           <= stride.size))
+                    for start in range(0, keep.size, block):
+                        rows = keep[start:start + block]
+                        if rows.size == 1:
+                            rows = np.repeat(rows, 2)
+                        screen(points[rows], coefficients[rows], threshold[rows], best[rows],
+                               pieces[:, rows], shared[rows], lead_buf, bound_buf)
+
+        threads = max(1, min(KERNEL_THREADS, len(edges) - 1))
+        _run_in_threads(run_chunks, [
+            (np.empty((step + 1) * (8 * k + 2)), np.empty((step + 1) * coarse.shape[1]),
+             np.empty(block * right.shape[1]), np.empty(block * right.shape[1]))
+            for _ in range(threads)
+        ])
+        return taken
 
     def _per_permutation(self, batch, perms, tail, reduce):
         """(B, P, *tail) array: `reduce` of each (rows, points, J) block of log
@@ -555,10 +899,7 @@ class ConditioningSet:
         writes only its own points of the output, so every bit of the result
         is the same for any thread count.
         """
-        perms = np.atleast_2d(np.asarray(perms, dtype=np.intp))
         B, P, J, k = batch.size, perms.shape[0], self.J, self.k
-        if P < 1 or perms.shape[1] != k or np.any((perms < 0) | (perms >= k)):
-            raise ValueError(f"perms must be a non-empty (P, {k}) array of labels 0..{k - 1}")
         left = np.empty((B, 3 * k + 1))
         shared = self._batch_pieces(batch, left)
         # pair (i, c) has code k i + c; cols[p, i] is the buffer slot of (i, perms[p, i])
@@ -662,7 +1003,6 @@ class ConditioningSet:
              np.empty((3, block * width * J)))
             for _ in range(threads)
         ])
-        self.evaluations += B * P * J
         out += shared.reshape((B,) + (1,) * (out.ndim - 1))
         return out
 

@@ -329,6 +329,43 @@ def test_replicate_rows_pinned(workload):
         assert row.get("A_size") == A_size, method
 
 
+# Shortened chains for the screen's share: J1 and bridge_J1 at 2400 draws, the
+# size of the galaxy mixture_is proposal, of a 4000-draw chain
+SCREEN_SIZES = dict(iterations=5000, burn_in=1000, T=1000, J=100, J1=2400, M1=1000,
+                    M2=1000, bridge_J1=2400, bridge_iterations=3, seed=3)
+
+
+@pytest.mark.parametrize("workload, least, most", [
+    ("galaxy_full", 0.9, 1.0), ("d2_full", 0.0, 0.5), ("d1_chib", None, None)])
+def test_screened_share_of_a_replicate(workload, least, most, monkeypatch):
+    """The share of the points of single-row kernel calls that the screen
+    takes, over a replicate: at least 90% on galaxy, where the randomly
+    permuted proposals' draws lie far apart, under half on D2, where the
+    components overlap, and none on the D1 Chib route, which makes no
+    single-row call of `log_pooled_density`."""
+    fields, _ = PINNED_ROWS[workload]
+    config = ExperimentConfig(**fields, **SCREEN_SIZES)
+    data = resolve_dataset(config)
+    pooled = model.ConditioningSet.log_pooled_density
+    calls = []
+
+    def spy(cond, batch, perms):
+        before = cond.screened
+        values = pooled(cond, batch, perms)
+        if values.shape[1] == 1:
+            calls.append((len(batch), cond.screened - before))
+        return values
+
+    monkeypatch.setattr(model.ConditioningSet, "log_pooled_density", spy)
+    rows = run_replicate(config, data, parse_prior(config.prior, data), 0)
+    assert not any(row["error"] for row in rows)
+    if least is None:
+        assert calls == []
+    else:
+        points, screened = np.sum(calls, axis=0)
+        assert least <= screened / points <= most
+
+
 # Imports the package, its harness and its command line in a fresh process,
 # runs one replicate and prints its rows' errors, the scipy modules loaded,
 # and the multiprocessing modules loaded by the import and by the end.

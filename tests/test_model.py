@@ -28,6 +28,7 @@ from mixevidence.model import (
 from mixevidence.numerics import (
     RngStream,
     inverse_gamma_logpdf,
+    log_sum_exp,
     normal_logpdf,
     permutation_matrix,
 )
@@ -1072,6 +1073,84 @@ class TestConditioningSetEngine:
                 old = reference.sample_grouped(cond, js, RngStream(21))
                 for field in ("weights", "means", "variances", "betas"):
                     assert_same_bits(getattr(new, field), getattr(old, field))
+
+
+def screen_case(data, prior, k, J, seed):
+    """A set of J draws shaped like a label-switching posterior sample: the
+    sorted points split into k groups, up to a fifth of the labels redrawn
+    and each draw's labels permuted at random, with its means near the group
+    means; and a batch of points drawn from the set's own block conditionals,
+    some moved far from every draw, some with a zero weight, a subnormal or
+    an infinite variance."""
+    rng = np.random.default_rng(seed)
+    x = data.observations
+    n = x.size
+    base = np.minimum(k * np.argsort(np.argsort(x)) // n, k - 1)
+    allocs = np.tile(base, (J, 1))
+    redrawn = rng.random((J, n)) < rng.uniform(0.0, 0.2, (J, 1))
+    allocs[redrawn] = rng.integers(0, k, np.count_nonzero(redrawn))
+    means = np.array([[x[base == i].mean() for i in range(k)]]) + rng.normal(0.0, 0.5, (J, k))
+    relabel = np.argsort(rng.random((J, k)), axis=1)
+    allocs = np.take_along_axis(relabel, allocs, axis=1)
+    means = np.take_along_axis(means, np.argsort(relabel, axis=1), axis=1)
+    betas = rng.gamma(2.0, 1.0, J) + 0.5 if prior.hierarchical else None
+    cond = ConditioningSet.from_draws(data, prior, means, allocs, betas)
+    batch = cond.sample(rng.integers(0, J, 24), rng)
+    batch.means[:3] += 40.0                     # far from every draw
+    batch.weights[3, 0] = 0.0
+    batch.variances[4, -1] = 1e-310
+    batch.variances[5, 0] = np.inf
+    return cond, batch
+
+
+class TestScreen:
+    """Single-row calls of `log_pooled_density` screen their points
+    (`ConditioningSet._screen`): the result is the dense one within rounding,
+    a point's bits depend on the point alone, and the gain shows on the
+    posteriors it is for."""
+
+    @given(hierarchical=st.booleans(), k=st.integers(1, 4),
+           J=st.sampled_from([113, 250, 1001, 2400, 4000]), seed=st.integers(0, 2**16))
+    def test_screen_matches_dense_and_keeps_its_bits(self, galaxy, hierarchical, k, J, seed):
+        data = galaxy
+        prior = (HierarchicalPrior.from_data(data) if hierarchical
+                 else FixedPrior(var_shape=2.0, var_scale=3.0))
+        cond, batch = screen_case(data, prior, k, J, seed)
+        perms = np.arange(k)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cond.log_pooled_density(batch, perms)
+            dense = log_sum_exp(cond.log_density_terms(batch, perms), axis=-1) - math.log(J)
+        assert cond.evaluations == 2 * batch.size * J
+        finite = np.isfinite(dense)
+        np.testing.assert_array_equal(got[~finite], dense[~finite])
+        # a value near 0 is the difference of terms of tens of nats: it is
+        # held to 1e-12 absolute
+        np.testing.assert_allclose(got[finite], dense[finite], rtol=1e-12, atol=1e-12)
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            for budget, threads in ((J * 3, 1), (J * 5, 2), (model.KERNEL_BUDGET * 3, 2)):
+                patch.setattr(model, "KERNEL_BUDGET", budget)
+                patch.setattr(model, "KERNEL_THREADS", threads)
+                rows = rng.permutation(batch.size)[:rng.integers(1, batch.size + 1)]
+                assert_same_bits(cond.log_pooled_density(batch[rows], perms), got[rows])
+
+    @pytest.fixture(scope="class")
+    def galaxy(self):
+        return builtin_dataset("galaxy")
+
+    def test_screen_leaves_infinite_bounds_and_takes_the_others(self, galaxy):
+        """The cases above run the screen: it leaves the subnormal and the
+        infinite variance, whose bounds are not finite, to the dense kernel
+        and takes at least half of the points drawn near the draws."""
+        identity = np.arange(4)[None, :]
+        for prior in (FixedPrior(var_shape=2.0, var_scale=3.0),
+                      HierarchicalPrior.from_data(galaxy)):
+            cond, batch = screen_case(galaxy, prior, 4, 2400, 5)
+            cond.log_pooled_density(batch[4:6], identity)
+            assert cond.screened == 0
+            cond.log_pooled_density(batch[6:], identity)
+            assert cond.screened >= 0.5 * (batch.size - 6)
 
 
 class TestSampleLaw:
