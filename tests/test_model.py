@@ -20,6 +20,7 @@ from mixevidence.model import (
     FixedPrior,
     HierarchicalPrior,
     ParamsBatch,
+    beta_conditional,
     log_likelihood_batch,
     log_prior_batch,
     mean_conditional,
@@ -388,6 +389,16 @@ class TestConditionalsOnFloats:
         for i, (c, s, _, _, v) in enumerate(components):
             got = mean_conditional(prior, c, s, v)
             assert_same_bits(got, (mean[i], var[i]))
+
+    @given(priors.filter(lambda prior: prior.hierarchical),
+           st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=300))
+    def test_beta_conditional(self, prior, variances):
+        """The sweep's list of floats, whose reciprocals are added in `np.sum`'s
+        order: left to right below eight, pairwise blocks from eight and halves
+        above 128.  Variances of like size make the orders round apart."""
+        with np.errstate(all="ignore"):
+            expected = beta_conditional(prior, np.array(variances))
+        assert_same_bits(beta_conditional(prior, variances), expected)
 
 
 class TestBlockDensity:
