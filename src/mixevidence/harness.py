@@ -160,20 +160,19 @@ class ExperimentConfig:
 
 
 def parse_prior(spec: str, data: Dataset) -> PriorSpec:
-    """Parse 'fixed:a,b' or 'rg' (hierarchical, calibrated from the data)."""
+    """Parse 'fixed' (fixed:2,3), 'fixed:a,b' with finite a, b > 0, or 'rg'
+    and 'hierarchical' (calibrated from the data), in any case."""
     token = spec.strip().lower()
     if token in ("rg", "hierarchical"):
         return HierarchicalPrior.from_data(data)
-    if token.startswith("fixed"):
-        _, _, args = token.partition(":")
-        if args:
-            try:
-                a, b = (float(v) for v in args.split(","))
-            except ValueError:
-                raise ValueError(f"bad fixed prior spec {spec!r}; want fixed:a,b") from None
-        else:
-            a, b = 2.0, 3.0
-        return FixedPrior(var_shape=a, var_scale=b)
+    head, colon, args = token.partition(":")
+    if head.strip() == "fixed":
+        try:
+            a, b = (float(v) for v in args.split(",")) if colon else (2.0, 3.0)
+            return FixedPrior(var_shape=a, var_scale=b)
+        except ValueError:
+            raise ValueError(f"bad fixed prior spec {spec!r}; "
+                             "want fixed:a,b with finite a, b > 0") from None
     raise ValueError(f"unknown prior spec {spec!r}; want 'fixed:a,b' or 'rg'")
 
 

@@ -55,27 +55,20 @@ never makes a subnormal or underflowing result, which costs it 5 to 100
 times a normal one; no bit of the result changes.
 
 A call with a single permutation row (the randomly permuted mixture of
-`mixture_is` and `bridge`) screens its points first, because nearly all of a
-point's terms there lie tens to thousands of nats below its largest: on a
-galaxy replicate 97% of them lie more than 50 nats below.  Putting the
-largest count of each component over the draws in place of the draw's own
-makes every term's normal-mean factor larger, so the terms have an upper
-bound of two matrix products per point chunk (`ConditioningSet._screen`).
-The exact term at the best-bounded of every 16th draw is a floor on a
-point's largest, and only the draws whose bound lies within
-G = ln J + 60 ln 2 nats of that floor are evaluated and reduced; the mass
-left out is below 2**-60 of the point's sum, so the result is the dense
-kernel's within rounding.  A point whose bound is not finite (a zero or
-infinite variance, a NaN), or whose bound keeps more than 1/8 of those
-strided draws, takes the dense kernel.  So does every point of a call whose
-draws the screen would not repay: it must take half of 64 states at the
-modes of the draws' own conditionals, which it does on galaxy and not on
-D2, whose components overlap.  Every call with more rows and every call of
-`log_density_terms` is dense.  A point's value depends on the point and
-the conditioning set alone, on either path.  `evaluations`
-still counts every (point, draw, permutation) triple, bounded or
-evaluated: that is the paper's unit of work, whatever part of it the
-screen saves; `screened` counts the points the screen took.
+`mixture_is` and `bridge`) screens its points first, because most of a
+point's terms there lie tens to thousands of nats below its largest.  Every
+term has an upper bound linear in five features of each of the draw's
+components, a few hundredths of a nat above it on a posterior sample, and
+only the draws whose bound lies within G = ln J + 60 ln 2 nats of the exact
+term at a point's best-bounded draw are evaluated and reduced
+(`ConditioningSet._screen`); the mass left out is below 2**-60 of the
+point's sum, so the result is the dense kernel's within rounding.  A point
+whose bound is not finite, or that keeps more than half of the draws, takes
+the dense kernel, as do every call with more rows and every call of
+`log_density_terms`.  A point's value depends on the point and the
+conditioning set alone, on either path.  `evaluations` still counts every
+(point, draw, permutation) triple, the paper's unit of work, whatever part
+of it the screen saves; `screened` counts the points the screen took.
 
 The point chunks of one kernel call are shared between `KERNEL_THREADS`
 threads, the calling thread among them; they pull chunks from one shared
@@ -168,8 +161,9 @@ class FixedPrior:
     hierarchical = False
 
     def __post_init__(self):
-        if not (self.mean_var > 0 and self.var_shape > 0 and self.var_scale > 0):
-            raise ValueError("prior hyperparameters must be strictly positive")
+        if not (math.isfinite(self.mean_loc) and 0 < self.mean_var < math.inf
+                and 0 < self.var_shape < math.inf and 0 < self.var_scale < math.inf):
+            raise ValueError("prior hyperparameters must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -316,9 +310,11 @@ def _pairwise_sum(values: list) -> float:
 # blocks that fit the budget, one row at least, so the row buffers grow with
 # J alone.  The right operands, (P, 3k + 1, J) and (pairs, 3, J), are built
 # once per call and are not bounded by the budget.  Chunks and blocks are
-# sized as if J were at least 8: the thread that runs a chunk allocates its
-# (pairs, points) gathers and the (rows, points) arrays of the reduce, and at
-# J=1 these would be as large as the buffers.
+# sized as if J were rounded up to a multiple of 8: from 8 draws on, zero
+# columns pad the buffers to that width (`ConditioningSet._per_permutation`),
+# and below it the thread that runs a chunk allocates its (pairs, points)
+# gathers and the (rows, points) arrays of the reduce, which at J=1 would
+# be as large as the buffers.
 KERNEL_BUDGET = 1 << 16
 
 # Threads that share the point chunks of one block-density call, the calling
@@ -333,16 +329,12 @@ KERNEL_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # below the 2**-53 a sum of float64 rounds to.  Its bounds are rounded by
 # about (8k + 2) 2**-53 of the magnitude of their terms; SCREEN_SLACK covers
 # that many times over and still moves a bound by a tiny fraction of a nat.
-# A point whose bound on every SCREEN_STRIDE-th draw keeps more than
-# 1/SCREEN_SHARE of those draws takes the dense kernel: a kept term costs
-# about eight times a bounded one.
+# A point whose bound keeps more than 1/SCREEN_SHARE of the draws takes the
+# dense kernel, which evaluates every draw at less cost per draw than the
+# screen's bound and kept term together.
 SCREEN_BITS = 60
 SCREEN_SLACK = 2.0**-40
-SCREEN_STRIDE = 16
-SCREEN_SHARE = 8
-# A call screens its points only if the screen takes half of this many states
-# on its draws (`ConditioningSet._screen_pays`).
-SCREEN_PROBES = 64
+SCREEN_SHARE = 2
 
 # OpenBLAS multiplies on the calling thread alone up to 4 * 65536 multiply-adds.
 SERIAL_PRODUCT = 1 << 18
@@ -416,6 +408,19 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     edges = _chunk_edges(a.shape[0], rows)
     for lo, hi in zip(edges[:-1], edges[1:]):
         np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """`np.matmul(a, b, out=out)`, or for fewer than eight columns of b the
+    same sum over the inner axis term by term, left to right: OpenBLAS rounds
+    a product's last columns short of a multiple of eight by a kernel that
+    changes with its row count, so a row's values would depend on its block."""
+    if b.shape[-1] >= 8:
+        np.matmul(a, b, out=out)
+    else:
+        np.multiply(a[..., :1], b[..., :1, :], out=out)
+        for i in range(1, a.shape[-1]):
+            out += a[..., i:i + 1] * b[..., i:i + 1, :]
 
 
 def _sum_columns(values: np.ndarray) -> np.ndarray:
@@ -514,8 +519,6 @@ class ConditioningSet:
     ig_const: np.ndarray    # (J,) permutation-invariant normalising constants
     evaluations: int = field(default=0, repr=False)
     screened: int = field(default=0, repr=False)
-    # `_screen_pays` of each permutation row, by the row's bytes
-    _screen_decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def J(self) -> int:
@@ -608,20 +611,14 @@ class ConditioningSet:
             return self._per_permutation(points, perms, (),
                                          lambda terms: log_sum_exp_into(terms, axis=-1) - log_J)
 
-        # with fewer than SCREEN_SHARE strided draws, the floor's own draw alone
-        # is too large a share for the screen to take a point
-        if perms.shape[0] > 1 or len(range(0, J, SCREEN_STRIDE)) < SCREEN_SHARE:
+        if perms.shape[0] > 1:
             out = dense(batch)
         else:
             out = np.empty((B, 1))
-            taken = np.zeros(B, dtype=bool)
-            if self._screen_pays(perms[0]):
-                taken = self._screen(batch, perms[0], out[:, 0])
-                self.screened += np.count_nonzero(taken)
+            taken = self._screen(batch, perms[0], out[:, 0])
+            self.screened += np.count_nonzero(taken)
             left = np.flatnonzero(~taken)
-            if left.size == B > 1:
-                out = dense(batch)
-            elif left.size:
+            if left.size:
                 # a lone point goes twice, so that its products are not matrix-vector ones
                 out[left] = dense(batch[np.resize(left, max(2, left.size))])[:left.size]
         self.evaluations += out.size * J
@@ -641,120 +638,130 @@ class ConditioningSet:
             raise ValueError(f"perms must be a non-empty (P, {k}) array of labels 0..{k - 1}")
         return perms
 
-    def _screen_pays(self, perm: np.ndarray) -> bool:
-        """Whether the screen takes at least half of SCREEN_PROBES states that sit
-        on the draws, one for each of SCREEN_PROBES evenly spaced draws at the
-        modes of its block conditionals.
+    def _bound_operands(self, perm: np.ndarray) -> np.ndarray:
+        """`_screen`'s right operand under the label permutation `perm`,
+        (8k + 2, J rounded up to a multiple of eight), zero past column J."""
+        prior, k, J = self.prior, self.k, self.J
+        p0 = 1.0 / prior.mean_var
+        right = np.zeros((8 * k + 2, -(-J // 8) * 8))
+        counts = right[:k, :J]
+        counts[...] = self.counts.T[perm]
+        np.negative(self.ig_shape.T[perm] + 1.0, out=right[k:2 * k, :J])
+        np.negative(self.ig_scale.T[perm], out=right[2 * k:3 * k, :J])
+        right[3 * k, :J] = self.ig_const
+        n, centred, square, inverse, empty = right[3 * k + 1:8 * k + 1, :J].reshape(5, k, J)
+        n[...] = counts
+        np.subtract(self.sums.T[perm], counts * prior.mean_loc, out=centred)
+        occupied = counts > 0
+        np.divide(1.0, counts, out=inverse, where=occupied)
+        mean = centred * inverse                                       # s~ / n, or 0
+        np.multiply(centred, mean, out=square)
+        empty[~occupied] = 1.0
+        log_n = np.log(counts, out=np.zeros_like(counts), where=occupied)
+        log_n += p0 * (mean * mean)
+        right[8 * k + 1, :J] = 0.5 * _sum_columns(log_n.T)
+        return right
 
-        Every point the screen sees costs its strided bound whether the screen
-        takes it or not, and where the draws' components overlap, as on D2,
-        it takes a few points in a hundred and saves less than it costs.  The
-        probes depend on the draws alone, so a point's value still depends on
-        the point and the draws alone.  The answer is kept for the row.
-        """
-        key = perm.tobytes()
-        if key in self._screen_decisions:
-            return self._screen_decisions[key]
+    def _bound_coefficients(self, batch: ParamsBatch, coefficients: np.ndarray,
+                            magnitude: np.ndarray) -> tuple:
+        """Fill `coefficients`, (B, 8k + 2), with each point's left operand of
+        `_screen`'s bounds; return the (B,) terms every draw shares, the point's
+        constant plus a slack of SCREEN_SLACK times the magnitude of the
+        products' terms (`magnitude`: each operand row's largest absolute
+        value), and the (3k, B) [mu~; p0 v; 1/v] of the exact terms."""
         prior, k = self.prior, self.k
-        rows = np.arange(0, self.J, -(-self.J // SCREEN_PROBES))[:, None]
-        counts, sums = self.counts[rows, perm], self.sums[rows, perm]
-        variances = self.ig_scale[rows, perm] / (self.ig_shape[rows, perm] + 1.0)
-        means, _ = mean_conditional(prior, counts, sums, variances)
-        weights = (1.0 + counts) / (k + _sum_columns(counts))[:, None]
-        betas = None
-        if prior.hierarchical:
-            shape, rate = beta_conditional(prior, variances)
-            betas = np.maximum(shape - 1.0, 0.0) / rate
-        probes = ParamsBatch(weights, means, variances, betas)
-        taken = self._screen(probes, perm, np.empty(len(probes)))
-        self._screen_decisions[key] = 2 * np.count_nonzero(taken) >= taken.size
-        return self._screen_decisions[key]
+        p0 = 1.0 / prior.mean_var
+        shared = self._batch_pieces(batch, coefficients[:, :3 * k + 1])
+        var = batch.variances                                          # (B, k)
+        shifted = batch.means - prior.mean_loc
+        inv_v = 1.0 / var
+        a = var * p0
+        features = coefficients[:, 3 * k + 1:8 * k + 1].reshape(-1, 5, k)
+        np.multiply(shifted * shifted, -0.5 * inv_v, out=features[:, 0])
+        np.multiply(shifted, inv_v, out=features[:, 1])
+        np.multiply(inv_v, -0.5, out=features[:, 2])
+        np.multiply(a, 0.5, out=features[:, 3])
+        np.multiply(np.log(a), 0.5, out=features[:, 4])
+        coefficients[:, 8 * k + 1] = 1.0
+        constant = _sum_columns(shifted * shifted) * (-0.5 * p0)
+        margin = (_sum_columns(np.abs(coefficients) * magnitude) + np.abs(constant)) * SCREEN_SLACK
+        margin += constant
+        return shared, margin, np.concatenate([shifted.T, a.T, inv_v.T])
 
     def _screen(self, batch: ParamsBatch, perm: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write log[(1/J) sum_j pi(theta_b | perm(draw_j), x)] into `out` for
         the points the screen takes, and return the (B,) flags of those points;
         the others are left to the dense kernel.
 
-        Point b's term for draw j is L_bj + 1/2 sum_i (log D_ij - t_ij^2 / (v_i D_ij))
-        plus the terms every draw shares, as in `_per_permutation`.  With
-        the largest count nbar_i of each component over the draws in place of
-        n_ij, log D_ij <= log Dbar_i and t^2 / (v D_ij) >= t^2 / (v Dbar_i), and
-        t = n mu~ - s~ + v p0 mu~ is linear in (n, s~) for mu~ = mu - mu0 and
-        s~ = s - n mu0.  So every term has an upper bound of two matrix
-        products: L itself, and the point's quadratic coefficients against
-        the draw's [n^2; s~^2; n s~; n; s~; 1].  A rounding slack of
-        SCREEN_SLACK times the magnitude of the products' terms is added.
+        Point b's term for draw j is L_bj + 1/2 sum_i (log D_i - t_i^2 / (v_i D_i))
+        plus the terms every draw shares, as in `_per_permutation`, with
+        D = n + a, a = p0 v, t = mu~ D - s~, mu~ = mu - mu0 and s~ = s - n mu0.
+        For n >= 1, log D <= log n + a / n and 1 / D >= 1 / n - a / n^2, so the
+        pair's part is at most
 
-        The exact term at the best-bounded of every SCREEN_STRIDE-th draw is
-        a floor on the point's largest term, so the draws whose bound lies
-        more than G = ln J + SCREEN_BITS ln 2 below it carry less than
-        2**-SCREEN_BITS of the point's sum together, and they are left out.
-        A point is left to the dense kernel when its bound is not finite, or
-        when more than 1/SCREEN_SHARE of the strided draws lie within G of
-        the floor: its screen would then cost more than the terms it saves.
-        The terms of the draws a point keeps are computed element by element
-        from the point's and the draws' gathered inputs, in the centred form
-        of t, and reduced over the draws in draw order, so a point's value
-        depends on the point and the draws alone.
+            1/2 [log n + p0 v / n - mu~^2 n / v - p0 mu~^2 + 2 mu~ s~ / v
+                 - s~^2 / (v n) + p0 (s~ / n)^2],
+
+        and for n = 0 (so s~ = 0) it is 1/2 [log(p0 v) - p0 mu~^2] exactly.
+        That is the point's [-mu~^2 / 2v, mu~ / v, -1 / 2v, p0 v / 2,
+        log(p0 v) / 2] per component and 1 (`_bound_coefficients`) times the
+        draw's [n; s~; s~^2 / n; 1 / n; 1{n = 0}] (each zero where n = 0) and
+        1/2 sum_i 1{n > 0} (log n + p0 (s~ / n)^2) (`_bound_operands`), plus
+        the point's constant -p0 / 2 sum_i mu~^2.  So every term has an upper
+        bound of one matrix product besides L's, and a slack.
+
+        The exact term at each point's best-bounded draw is a floor on its
+        largest term, so the draws whose bound lies more than
+        G = ln J + SCREEN_BITS ln 2 below it carry less than 2**-SCREEN_BITS
+        of the point's sum together, and they are left out.  A point is left
+        to the dense kernel when its bound is not finite (a zero, subnormal
+        or infinite variance, a NaN), or when it keeps more than
+        1/SCREEN_SHARE of the draws.  The terms of the draws a point keeps
+        are computed element by element from the point's and the draws'
+        gathered inputs, in the centred form of t, and reduced over the draws
+        in draw order, so a point's value depends on the point and the draws
+        alone.
 
         Every matrix product has at least two rows and a multiple of eight
-        columns: OpenBLAS rounds the last columns of other widths, and the
-        row of a one-row product, with other kernels, so a point's bound
-        would depend on its chunk.  The points go in chunks whose strided
-        (points, J / SCREEN_STRIDE) bounds hold about KERNEL_BUDGET elements,
-        shared between the kernel's threads; the points a chunk keeps go on
-        in blocks whose (points, J) values of L and bounds each do, and a
-        block's kept terms in slices of KERNEL_BUDGET / 8k.  The calling
-        thread allocates the buffers; the arrays a worker thread allocates
-        stay small, because its malloc arena keeps their high-water mark.
+        columns, or a point's bound would depend on its chunk (`_product`).
+        The points go in chunks of up to 256, shared between the kernel's
+        threads, then in blocks whose (points, J) values of L and bounds hold
+        about KERNEL_BUDGET elements each, and a block's kept terms in slices
+        of KERNEL_BUDGET / 8k.  The calling thread allocates the buffers, the
+        kept terms' gathered inputs among them, because a worker thread's
+        malloc arena keeps its high-water mark.
         """
-        prior, k, J, B = self.prior, self.k, self.J, batch.size
-        p0 = 1.0 / prior.mean_var
+        k, J, B = self.k, self.J, batch.size
         gap = math.log(J) + SCREEN_BITS * math.log(2.0)
-        # the right operands of L and of the quadratic bound, with zero columns
-        # up to a multiple of eight
-        right = np.zeros((8 * k + 2, -(-J // 8) * 8))
-        quad = right[3 * k + 1:8 * k + 1, :J].reshape(5, k, J)
-        counts, centred = quad[3], quad[4]
-        counts[...] = self.counts.T[perm]
-        np.subtract(self.sums.T[perm], counts * prior.mean_loc, out=centred)
-        np.multiply(counts, counts, out=quad[0])
-        np.multiply(centred, centred, out=quad[1])
-        np.multiply(counts, centred, out=quad[2])
-        right[8 * k + 1, :J] = 1.0
-        right[:k, :J] = counts
-        np.negative(self.ig_shape.T[perm] + 1.0, out=right[k:2 * k, :J])
-        np.negative(self.ig_scale.T[perm], out=right[2 * k:3 * k, :J])
-        right[3 * k, :J] = self.ig_const
-        draw_pieces = right[6 * k + 1:8 * k + 1, :J]                    # [n; s~]
+        right = self._bound_operands(perm)
+        width = right.shape[1]
+        draw_pieces = right[3 * k + 1:5 * k + 1, :J]                  # [n; s~]
         magnitude = np.abs(right).max(axis=1)
-        n_bar = counts.max(axis=1)
-        stride = np.arange(0, J, SCREEN_STRIDE)
-        coarse = np.zeros((8 * k + 2, -(-stride.size // 8) * 8))
-        coarse[:, :stride.size] = right[:, stride]
         taken = np.zeros(B, dtype=bool)
-        # a chunk's strided bounds are sized as if 256 draws wide at least: a
-        # larger chunk saves no time, and the per-point arrays a worker thread
-        # allocates for it would grow that thread's malloc arena for good; a
-        # smaller batch is split between the threads
-        step = max(2, min(KERNEL_BUDGET // max(coarse.shape[1], 256), -(-B // KERNEL_THREADS)))
+        # a smaller batch is split between the threads
+        step = max(2, min(KERNEL_BUDGET // 256, -(-B // KERNEL_THREADS)))
         edges = _chunk_edges(B, step)
         chunks = iter(zip(edges[:-1], edges[1:]))
-        block = max(2, KERNEL_BUDGET // right.shape[1])
-        span = KERNEL_BUDGET // (8 * k)
+        block = max(2, KERNEL_BUDGET // width)
+        span = max(KERNEL_BUDGET // (8 * k), block + 1)
         lock = threading.Lock()
 
         def next_chunk():
             with lock:
                 return next(chunks, None)
 
-        def terms(lead, pieces, draws):
-            # the exact terms, without the shared ones, from L's values `lead`,
-            # the points' [mu~; p0 v; 1/v] (3k rows, overwritten) and the draws'
-            # [n; s~]: with D = p0 v + n, t = mu~ D - s~, and the pair factors
-            # log D - t^2 / (v D) are added in component order
-            shifted, d, inv_v = pieces.reshape(3, k, -1)
-            n, s = np.take(draw_pieces, draws, axis=1).reshape(2, k, -1)
+        def add_terms(values, rows, draws, pieces, piece_buf, draw_buf):
+            # add to L's values `values` the rest of the exact terms of the
+            # pairs of points `rows` and `draws`, without the shared ones, from
+            # the points' [mu~; p0 v; 1/v] (3k rows of `pieces`) and the draws'
+            # [n; s~], gathered into the buffers: with D = p0 v + n and
+            # t = mu~ D - s~, the pair factors log D - t^2 / (v D) are added in
+            # component order
+            m = rows.size
+            shifted, d, inv_v = np.take(pieces, rows, axis=1, mode="clip", out=piece_buf[
+                :3 * k * m].reshape(3 * k, m)).reshape(3, k, m)
+            n, s = np.take(draw_pieces, draws, axis=1, mode="clip", out=draw_buf[
+                :2 * k * m].reshape(2 * k, m)).reshape(2, k, m)
             d += n
             shifted *= d
             shifted -= s
@@ -767,95 +774,80 @@ class ConditioningSet:
             for pair in d[1:]:
                 total += pair
             total *= 0.5
-            total += lead
-            return total
+            values += total
 
-        def screen(points, coefficients, threshold, best, pieces, shared, lead_buf, bound_buf):
+        def screen(points, coefficients, margin, pieces, shared, bufs):
+            lead_buf, bound_buf, survive_buf, value_buf, piece_buf, draw_buf = bufs
             # the (points, J) values of L and bounds
-            lead, bound = (buf[:points.size * right.shape[1]].reshape(points.size, -1)
-                           for buf in (lead_buf, bound_buf))
+            m = points.size
+            lead, bound = (buf[:m * width].reshape(m, width) for buf in (lead_buf, bound_buf))
             _serial_matmul(coefficients[:, :3 * k + 1], right[:3 * k + 1], lead)
             _serial_matmul(coefficients[:, 3 * k + 1:], right[3 * k + 1:], bound)
             bound += lead
-            survive = bound >= threshold[:, None]
+            own = np.arange(m)
+            best = np.argmax(bound[:, :J], axis=1)
+            threshold = lead[own, best]
+            add_terms(threshold, own, best, pieces, piece_buf, draw_buf)
+            threshold -= margin
+            survive = np.greater_equal(bound, threshold[:, None],
+                                       out=survive_buf[:m * width].reshape(m, width))
             survive[:, J:] = False
             # the floor's own draw, whose bound is above it but for rounding
-            survive[np.arange(points.size), best] = True
+            survive[own, best] = True
+            sizes = np.count_nonzero(survive, axis=1)
+            ok = (np.isfinite(bound[own, best]) & np.isfinite(threshold)
+                  & (SCREEN_SHARE * sizes <= J))
+            survive[~ok] = False
+            sizes = sizes[ok]
             # the flat indices of the kept (point, draw) pairs, point by point
             kept = np.flatnonzero(survive)
-            offsets = np.arange(points.size + 1) * right.shape[1]
-            ends = np.searchsorted(kept, offsets)
-            starts, sizes = ends[:-1], ends[1:] - ends[:-1]
-            rows = np.repeat(np.arange(points.size), sizes)
-            values = lead.ravel()[kept]
-            # the terms go in slices of `span` pairs, whose gathered inputs stay small
+            values = np.take(lead.ravel(), kept, mode="clip", out=value_buf[:kept.size])
+            # the terms go in slices of `span` pairs, whose gathered inputs fit
+            # the buffers
             for lo in range(0, kept.size, span):
                 at = slice(lo, lo + span)
-                values[at] = terms(values[at], np.take(pieces, rows[at], axis=1),
-                                   kept[at] - offsets[rows[at]])
+                rows, draws = np.divmod(kept[at], width)
+                add_terms(values[at], rows, draws, pieces, piece_buf, draw_buf)
+            starts = np.cumsum(sizes) - sizes
             top = np.maximum.reduceat(values, starts)
-            values -= np.repeat(top, sizes)
+            # each kept pair's point among those the screen takes
+            rank = np.cumsum(ok) - 1
+            for lo in range(0, kept.size, span):
+                at = slice(lo, lo + span)
+                values[at] -= top[rank[kept[at] // width]]
             np.maximum(values, EXP_FLOOR, out=values)
             np.exp(values, out=values)
             total = np.add.reduceat(values, starts)
             np.log(total, out=total)
             total += top
-            total += shared
-            out[points] = total
-            taken[points] = True
+            total += shared[ok]
+            out[points[ok]] = total
+            taken[points[ok]] = True
 
-        def run_chunks(coefficient_buf, near_buf, lead_buf, bound_buf):
+        def run_chunks(coefficient_buf, *bufs):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 while (chunk := next_chunk()) is not None:
                     lo, hi = chunk
                     points = np.arange(lo, hi) if hi - lo > 1 else np.array([lo, lo])
                     part = batch[lo:hi] if hi - lo > 1 else batch[points]
-                    # each point's [log w | log v | 1/v | 1], the left operand
-                    # of L, then its coefficients of [n^2; s~^2; n s~; n; s~] in
-                    # -w t^2 and the sum over the pairs of 1/2 log Dbar - w u^2
                     coefficients = coefficient_buf[:points.size * (8 * k + 2)].reshape(
                         points.size, -1)
-                    shared = self._batch_pieces(part, coefficients[:, :3 * k + 1]) - math.log(J)
-                    var = part.variances                               # (points, k)
-                    shifted = part.means - prior.mean_loc
-                    d_bar = var * p0 + n_bar
-                    w = 0.5 / (var * d_bar)
-                    u = var * p0 * shifted
-                    quad = coefficients[:, 3 * k + 1:8 * k + 1].reshape(-1, 5, k)
-                    np.multiply(shifted * shifted, -w, out=quad[:, 0])
-                    np.negative(w, out=quad[:, 1])
-                    np.multiply(shifted, 2.0 * w, out=quad[:, 2])
-                    np.multiply(shifted * u, -2.0 * w, out=quad[:, 3])
-                    np.multiply(u, 2.0 * w, out=quad[:, 4])
-                    coefficients[:, 8 * k + 1] = _sum_columns(0.5 * np.log(d_bar) - w * u * u)
-                    size = np.abs(coefficients)
-                    size *= magnitude
-                    slack = _sum_columns(size) * SCREEN_SLACK
-                    pieces = np.concatenate([shifted.T, (var * p0).T, (1.0 / var).T])
-                    # the bounds on the strided draws, and the floor their best gives
-                    near = near_buf[:points.size * coarse.shape[1]].reshape(points.size, -1)
-                    _serial_matmul(coefficients, coarse, near)
-                    near = near[:, :stride.size]
-                    best = np.argmax(near, axis=1)
-                    finite = np.isfinite(near[np.arange(points.size), best])
-                    best = stride[best]
-                    lead = _sum_columns(coefficients[:, :3 * k + 1] * right[:3 * k + 1, best].T)
-                    threshold = terms(lead, pieces.copy(), best) - gap - slack
-                    keep = np.flatnonzero(
-                        finite & np.isfinite(threshold)
-                        & (SCREEN_SHARE * np.count_nonzero(near >= threshold[:, None], axis=1)
-                           <= stride.size))
-                    for start in range(0, keep.size, block):
-                        rows = keep[start:start + block]
-                        if rows.size == 1:
-                            rows = np.repeat(rows, 2)
-                        screen(points[rows], coefficients[rows], threshold[rows], best[rows],
-                               pieces[:, rows], shared[rows], lead_buf, bound_buf)
+                    shared, margin, pieces = self._bound_coefficients(part, coefficients,
+                                                                      magnitude)
+                    shared -= math.log(J)
+                    margin += gap
+                    blocks = _chunk_edges(points.size, block)
+                    for b0, b1 in zip(blocks[:-1], blocks[1:]):
+                        screen(points[b0:b1], coefficients[b0:b1], margin[b0:b1],
+                               pieces[:, b0:b1], shared[b0:b1], bufs)
 
         threads = max(1, min(KERNEL_THREADS, len(edges) - 1))
+        # a taken point keeps at most J / SCREEN_SHARE draws
         _run_in_threads(run_chunks, [
-            (np.empty((step + 1) * (8 * k + 2)), np.empty((step + 1) * coarse.shape[1]),
-             np.empty(block * right.shape[1]), np.empty(block * right.shape[1]))
+            (np.empty((step + 1) * (8 * k + 2)), np.empty((block + 1) * width),
+             np.empty((block + 1) * width), np.empty((block + 1) * width, dtype=bool),
+             np.empty((block + 1) * (J // SCREEN_SHARE)), np.empty(3 * k * span),
+             np.empty(2 * k * span))
             for _ in range(threads)
         ])
         return taken
@@ -887,6 +879,11 @@ class ConditioningSet:
         The rows go in blocks of up to KERNEL_BUDGET / (points J) rows, each
         step once per block; a block of one row sums its pair slices as
         views, a larger one gathers them, in component order either way.
+        From eight draws on, the right operands carry zero columns up to a
+        multiple of eight, which the reduce leaves out, and below eight the
+        products are summed term by term (`_product`): OpenBLAS rounds the
+        last columns of other widths by a kernel that changes with the
+        number of rows, so a point's bits would depend on its chunk.
 
         A row that meets an overflowing precision or a non-finite input can
         hold inf - inf, whose limit is -inf.  A block whose reduced values
@@ -908,26 +905,27 @@ class ConditioningSet:
         pairs = codes.size
         pair_i, pair_c = np.divmod(codes, k)
         # each row's relabelled draw statistics and constant, (P, 3k + 1, J), and
-        # each pair's [n; s; 1], (pairs, 3, J): with the output these are the
-        # only arrays that grow with P and J
-        right = np.empty((P, 3 * k + 1, J))
+        # each pair's [n; s; 1], (pairs, 3, J), from eight draws on with zero
+        # columns up to a multiple of eight, which the reduce leaves out: with
+        # the output these are the only arrays that grow with P and J
+        span = J if J < 8 else -(-J // 8) * 8
+        right = np.zeros((P, 3 * k + 1, span))
         for i in range(k):
             c = perms[:, i]
-            right[:, i] = self.counts.T[c]
-            np.negative(self.ig_shape.T[c] + 1.0, out=right[:, k + i])
-            np.negative(self.ig_scale.T[c], out=right[:, 2 * k + i])
-        right[:, 3 * k] = self.ig_const
-        pair_right = np.empty((pairs, 3, J))
-        pair_right[:, 0] = self.counts.T[pair_c]
-        pair_right[:, 1] = self.sums.T[pair_c]
+            right[:, i, :J] = self.counts.T[c]
+            np.negative(self.ig_shape.T[c] + 1.0, out=right[:, k + i, :J])
+            np.negative(self.ig_scale.T[c], out=right[:, 2 * k + i, :J])
+        right[:, 3 * k, :J] = self.ig_const
+        pair_right = np.zeros((pairs, 3, span))
+        pair_right[:, 0, :J] = self.counts.T[pair_c]
+        pair_right[:, 1, :J] = self.sums.T[pair_c]
         pair_right[:, 2] = 1.0
-        n_pair = pair_right[:, :1]                       # (pairs, 1, J)
+        n_pair = pair_right[:, :1]                       # (pairs, 1, span)
         p0 = 1.0 / self.prior.mean_var
         pm0 = self.prior.mean_loc * p0
-        span = max(J, 8)
-        edges = _chunk_edges(B, KERNEL_BUDGET // (span * max(pairs, P)))
+        edges = _chunk_edges(B, KERNEL_BUDGET // (max(span, 8) * max(pairs, P)))
         width = max(max(np.diff(edges), default=0), 1)
-        block = min(P, max(1, KERNEL_BUDGET // (width * span)))
+        block = min(P, max(1, KERNEL_BUDGET // (width * max(span, 8))))
         out = np.empty((B, P) + tail)
         chunks = iter(zip(edges[:-1], edges[1:]))
         lock = threading.Lock()
@@ -938,7 +936,7 @@ class ConditioningSet:
 
         def block_values(lo, hi, r0, r1, normal, total, part, other):
             # the rows r0..r1 of the chunk's points, without the shared terms
-            np.matmul(left[lo:hi], right[r0:r1], out=total)
+            _product(left[lo:hi], right[r0:r1], total)
             if r1 - r0 == 1:
                 # (1, points, J) views: an input shaped unlike its output that
                 # shares its memory would be copied first
@@ -964,7 +962,7 @@ class ConditioningSet:
                     lo, hi = chunk
                     m = hi - lo
                     # contiguous views, so that every chunk takes numpy's same loops
-                    normal, sq = pair_buf[:, :pairs * m * J].reshape(2, pairs, m, J)
+                    normal, sq = pair_buf[:, :pairs * m * span].reshape(2, pairs, m, span)
                     lhs = lhs_buf[:pairs * m * 3].reshape(pairs, m, 3)
                     var = batch.variances[lo:hi, pair_i].T          # (pairs, points)
                     mu = batch.means[lo:hi, pair_i].T
@@ -978,29 +976,29 @@ class ConditioningSet:
                     np.multiply(var, p0, out=var)
                     # `normal` holds D until log D - t^2 / (v D) replaces it
                     np.add(var[:, :, None], n_pair, out=normal)
-                    np.matmul(lhs, pair_right, out=sq)
+                    _product(lhs, pair_right, sq)
                     np.square(sq, out=sq)
                     np.divide(sq, normal, out=sq)
                     np.log(normal, out=normal)
                     np.subtract(normal, sq, out=normal)
                     for r0 in range(0, P, block):
                         r1 = min(r0 + block, P)
-                        size = (r1 - r0) * m * J
-                        total, part, other = row_buf[:, :size].reshape(3, r1 - r0, m, J)
+                        size = (r1 - r0) * m * span
+                        total, part, other = row_buf[:, :size].reshape(3, r1 - r0, m, span)
                         bufs = (normal, total, part, other)
-                        values = reduce(block_values(lo, hi, r0, r1, *bufs))
+                        values = reduce(block_values(lo, hi, r0, r1, *bufs)[..., :J])
                         # the max is NaN if any value is; only this rare path
                         # allocates a block-sized array (the guard's flags)
                         if np.isnan(np.max(values)):
-                            total = block_values(lo, hi, r0, r1, *bufs)
+                            total = block_values(lo, hi, r0, r1, *bufs)[..., :J]
                             _nan_to_neg_inf(total)
                             values = reduce(total)
                         out[lo:hi, r0:r1] = np.swapaxes(values, 0, 1)
 
         threads = max(1, min(KERNEL_THREADS, len(edges) - 1))
         _run_in_threads(run_chunks, [
-            (np.empty((2, pairs * width * J)), np.empty(pairs * width * 3),
-             np.empty((3, block * width * J)))
+            (np.empty((2, pairs * width * span)), np.empty(pairs * width * 3),
+             np.empty((3, block * width * span)))
             for _ in range(threads)
         ])
         out += shared.reshape((B,) + (1,) * (out.ndim - 1))

@@ -172,8 +172,11 @@ BAD_CONFIGS = {
      "k must be an integer, not '3'"),
     (lambda tmp: ["simulate", "--config", str(tmp / "float-T.json")],
      "T must be an integer, not 2.5"),
+    (lambda tmp: ["estimate", "--estimator", "sym_is", "--dataset", "d1",
+                  "--prior", "fixed:inf,3"],
+     "bad fixed prior spec 'fixed:inf,3'"),
 ], ids=["unknown-config-key", "missing-dataset", "k-zero", "negative-replicate",
-        "config-not-an-object", "string-k", "float-T"])
+        "config-not-an-object", "string-k", "float-T", "infinite-prior"])
 def test_bad_input_is_a_one_line_error(tmp_path, capsys, make_argv, message):
     """A config, dataset or replicate the command cannot use exits 2 with one
     `mixevidence: error:` line and no traceback or row."""
